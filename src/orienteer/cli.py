@@ -8,6 +8,7 @@ cap, 5 verification failure.  Failures print a machine-readable JSON object
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -27,7 +28,7 @@ from .mktsp import solve_mktsp
 from .orienteering import OrienteeringInstance, solve_orienteering
 from .render import render_svg
 from .verify import verify_solution
-from .window_solver import ExactWindowSolver
+from .window_solver import DEFAULT_POINT_CAP, ExactWindowSolver
 
 EXIT_OK = 0
 EXIT_MALFORMED = 2
@@ -40,7 +41,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with _oracle_cap(getattr(args, "cap_override", None)):
+            return args.func(args)
     except InputError as exc:
         return _fail("malformed-input", exc, EXIT_MALFORMED)
     except InfeasibleError as exc:
@@ -51,6 +53,21 @@ def main(argv=None) -> int:
         return _fail("verification", exc, EXIT_VERIFICATION)
     except OrienteerError as exc:
         return _fail("error", exc, 1)
+
+
+@contextlib.contextmanager
+def _oracle_cap(cap):
+    """Set the oracle's point cap for one command, restoring it afterwards."""
+    saved = os.environ.get("ORIENTEER_MAX_POINTS")
+    if cap is not None:
+        os.environ["ORIENTEER_MAX_POINTS"] = str(cap)
+    try:
+        yield
+    finally:
+        if saved is None:
+            os.environ.pop("ORIENTEER_MAX_POINTS", None)
+        else:
+            os.environ["ORIENTEER_MAX_POINTS"] = saved
 
 
 def _fail(kind: str, exc: Exception, code: int) -> int:
@@ -140,10 +157,8 @@ def cmd_solve(args) -> int:
     if args.budget is not None:
         inst.budget = args.budget
     inst.validate()
-    if args.cap_override is not None:
-        os.environ["ORIENTEER_MAX_POINTS"] = str(args.cap_override)
     solver = ExactWindowSolver(
-        point_cap=args.cap_override if args.cap_override is not None else 18
+        point_cap=args.cap_override if args.cap_override is not None else DEFAULT_POINT_CAP
     )
 
     points = inst.point_set()
@@ -201,8 +216,6 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     inst = load_instance(args.instance)
     sol = load_solution(args.solution)
-    if args.cap_override is not None:
-        os.environ["ORIENTEER_MAX_POINTS"] = str(args.cap_override)
     report = verify_solution(inst, sol, oracle_check=args.oracle_check)
     print(json.dumps(report.to_dict(), indent=2))
     return EXIT_OK if report.passed else EXIT_VERIFICATION

@@ -21,8 +21,8 @@ from .errors import DegenerateInputError, InputError
 #: Relative tolerance for rigid-motion distance preservation.
 RIGID_MOTION_RTOL = 1e-12
 
-#: Absolute length comparisons are scaled by the instance diameter times this.
-LENGTH_ATOL = 1e-9
+#: Length comparisons allow this slack relative to the instance diameter.
+LENGTH_RTOL = 1e-9
 
 
 def dist(p, q) -> float:
@@ -105,8 +105,12 @@ class PointSet:
         return float(self.distance_matrix().max())
 
     def length_tolerance(self) -> float:
-        """Absolute tolerance for comparing path lengths on this set."""
-        return LENGTH_ATOL * max(self.diameter(), 1.0)
+        """Slack for comparing path lengths on this set.
+
+        Purely relative to the diameter, so a comparison gives the same
+        verdict at every scale of the same instance.
+        """
+        return LENGTH_RTOL * self.diameter()
 
     def transformed(self, transform: "Transform") -> "PointSet":
         """New PointSet with the same ids under a rigid motion."""

@@ -120,7 +120,7 @@ def solve_mktsp(
     dmat = rotated.distance_matrix()
     cost_limit = None
     if cost_cap is not None:
-        cost_limit = cost_cap + 1e-7 * max(1.0, rotated.diameter())
+        cost_limit = cost_cap + rotated.length_tolerance()
 
     all_none = tuple([None] * m)
     base_key = (all_none, all_none, 0)

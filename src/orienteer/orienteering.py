@@ -25,9 +25,6 @@ from .mktsp import solve_mktsp
 from .paths import MultiPath, Path, concatenate, path_length
 from .window_solver import ExactWindowSolver
 
-#: Budget comparisons allow this relative slack, scaled by the diameter.
-BUDGET_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class OrienteeringInstance:
@@ -106,7 +103,7 @@ def solve_orienteering(
     points = instance.points
     n = points.n
     root = instance.root
-    tol = BUDGET_TOL * max(1.0, points.diameter())
+    tol = points.length_tolerance()
     budget = instance.budget
     m_full = segment_count(instance.delta)
     dmat = points.distance_matrix()

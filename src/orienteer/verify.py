@@ -16,9 +16,6 @@ import numpy as np
 from .io import Instance, Solution
 from .oracle import brute_ktsp, brute_mktsp, brute_orienteering, max_points_cap
 
-LENGTH_RTOL = 1e-9
-BUDGET_TOL = 1e-9
-
 
 @dataclass
 class Report:
@@ -63,7 +60,7 @@ def verify_solution(instance: Instance, solution: Solution, oracle_check: bool =
     report.add("no repeated visits in a path", no_repeats)
 
     length = sum(_seq_length(coords, seq) for seq in seqs)
-    tol = LENGTH_RTOL * max(1.0, abs(solution.length))
+    tol = instance.point_set().length_tolerance()
     report.add(
         "length recomputes",
         math.isfinite(solution.length) and abs(length - solution.length) <= tol,
@@ -73,13 +70,10 @@ def verify_solution(instance: Instance, solution: Solution, oracle_check: bool =
     report.add("visited count", visited == solution.visited,
                f"reported {solution.visited}, recomputed {visited}")
 
-    diam = float(np.linalg.norm(coords.max(axis=0) - coords.min(axis=0))) if n > 1 else 1.0
-    budget_tol = BUDGET_TOL * max(1.0, diam)
-
     if instance.kind == "orienteering":
         seq = seqs[0]
         report.add("rooted at start", bool(seq) and seq[0] == instance.root)
-        report.add("within budget", length <= instance.budget + budget_tol,
+        report.add("within budget", length <= instance.budget + tol,
                    f"length {length!r}, budget {instance.budget!r}")
     elif instance.kind == "ktsp":
         seq = seqs[0]
@@ -105,11 +99,11 @@ def verify_solution(instance: Instance, solution: Solution, oracle_check: bool =
                    f"visited {visited}, k {instance.k}")
 
     if oracle_check:
-        _oracle_checks(report, instance, solution, coords, length, visited, budget_tol)
+        _oracle_checks(report, instance, solution, coords, length, visited, tol)
     return report
 
 
-def _oracle_checks(report, instance, solution, coords, length, visited, budget_tol):
+def _oracle_checks(report, instance, solution, coords, length, visited, tol):
     if instance.n > max_points_cap():
         report.add("oracle", True, f"skipped: n={instance.n} over the oracle cap")
         return
@@ -117,13 +111,13 @@ def _oracle_checks(report, instance, solution, coords, length, visited, budget_t
     if instance.kind == "ktsp":
         _, opt = brute_ktsp(coords, instance.source, instance.sink, instance.k)
         excess = opt - float(np.linalg.norm(coords[instance.sink] - coords[instance.source]))
-        bound = opt + delta * excess + LENGTH_RTOL * max(1.0, opt)
+        bound = opt + delta * excess + tol
         report.add("excess guarantee", length <= bound,
                    f"length {length!r}, optimum {opt!r}, bound {bound!r}")
     elif instance.kind == "mktsp":
         _, opt = brute_mktsp(coords, [tuple(p) for p in instance.pairs], instance.k)
         direct = sum(float(np.linalg.norm(coords[t] - coords[s])) for s, t in instance.pairs)
-        bound = opt + delta * (opt - direct) + LENGTH_RTOL * max(1.0, opt)
+        bound = opt + delta * (opt - direct) + tol
         report.add("excess guarantee", length <= bound,
                    f"length {length!r}, optimum {opt!r}, bound {bound!r}")
     else:

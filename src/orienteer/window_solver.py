@@ -13,9 +13,13 @@ an exact solver satisfies it for every value, so ``delta_prime`` is accepted
 everywhere and recorded but never changes a result here.  Swapping in an
 approximate implementation with the same methods leaves the sweeps intact.
 
-``single_slot_table`` is a batched variant for the one-path case: one pass
-computes optima for *all* endpoint pairs and visit counts of a window, which
-is what the k-TSP sweep consumes in bulk.
+``single_slot_table`` is a batched variant for the one-path case: one
+Held-Karp pass computes optima for *all* endpoint pairs and visit counts of a
+window, which is what the k-TSP sweep consumes in bulk.  The pass is
+vectorised over all visited sets of one size at a time and serves every
+window size up to the cap; its dp[mask, last, start] array is kept under
+``TABLE_BYTES`` by running the start points in chunks, so a small window is
+one chunk and an 18-point window runs one start at a time.
 """
 
 from __future__ import annotations
@@ -31,9 +35,9 @@ from .paths import Path
 
 DEFAULT_POINT_CAP = 18
 
-#: Above this window size the batched table falls back to per-start dicts to
-#: keep memory bounded (the dense table is 8 * 2^w * w^2 bytes).
-DENSE_TABLE_MAX = 14
+#: Byte ceiling on the dp[mask, last, start] array of one table pass
+#: (8 * 2^w * w bytes per start point).
+TABLE_BYTES = 64 << 20
 
 INF = math.inf
 
@@ -96,21 +100,21 @@ def _infeasible(slots: int) -> WindowSolution:
 class ExactWindowSolver:
     """Exact window oracle with memoized all-count solves.
 
-    Results are cached per (host, point set, endpoint arrays); the cache is
-    write-once and can be dropped with ``clear_cache``.  ``delta_prime``
-    arguments are accepted for contract compatibility and stored on
-    ``last_delta_prime`` so callers can verify the plumbing.
+    Results are cached per (host, point set, endpoint arrays); the keys hold
+    the host ``PointSet`` itself, which hashes by identity, so a cached host
+    stays alive until the cache is dropped.  The cache is write-once and can
+    be dropped with ``clear_cache``.  ``delta_prime`` arguments are accepted
+    for contract compatibility and stored on ``last_delta_prime`` so callers
+    can verify the plumbing.
     """
 
     def __init__(self, point_cap: int = DEFAULT_POINT_CAP):
         self.point_cap = point_cap
         self.last_delta_prime: float | None = None
-        self._hosts: dict[int, PointSet] = {}
         self._length_memo: dict = {}
         self._table_memo: dict = {}
 
     def clear_cache(self):
-        self._hosts.clear()
         self._length_memo.clear()
         self._table_memo.clear()
 
@@ -126,9 +130,8 @@ class ExactWindowSolver:
         self.last_delta_prime = delta_prime
         pts = tuple(sorted(int(p) for p in point_ids))
         self._check_cap(pts)
-        key = (id(host), pts, endpoints.sources, endpoints.sinks)
+        key = (host, pts, endpoints.sources, endpoints.sinks)
         if key not in self._length_memo:
-            self._hosts[id(host)] = host
             lengths, _ = _multi_slot_dp(host, pts, endpoints, want_parents=False)
             self._length_memo[key] = lengths
         return self._length_memo[key]
@@ -165,9 +168,8 @@ class ExactWindowSolver:
         self.last_delta_prime = delta_prime
         pts = tuple(sorted(int(p) for p in point_ids))
         self._check_cap(pts)
-        key = (id(host), pts)
+        key = (host, pts)
         if key not in self._table_memo:
-            self._hosts[id(host)] = host
             self._table_memo[key] = SingleSlotTable(host, pts)
         return self._table_memo[key]
 
@@ -179,19 +181,15 @@ class ExactWindowSolver:
 
 
 class SingleSlotTable:
-    """Dense exact table: best[k][d][c] = shortest path from c to d visiting
+    """Exact table: best[k][d][c] = shortest path from c to d visiting
     exactly k points of the window (INF when impossible)."""
 
     def __init__(self, host: PointSet, pts: tuple):
         self.pts = pts
         self.index = {p: i for i, p in enumerate(pts)}
-        w = len(pts)
         coords = host.coords[list(pts)]
         dmat = np.linalg.norm(coords[:, None, :] - coords[None, :, :], axis=2)
-        if w <= DENSE_TABLE_MAX:
-            self.best = _dense_all_pairs(dmat)
-        else:
-            self.best = _sparse_all_pairs(dmat)
+        self.best = _held_karp_table(dmat)
 
     def length(self, c: int, d: int, k: int) -> float:
         """Optimal c -> d path over exactly k window points."""
@@ -200,56 +198,30 @@ class SingleSlotTable:
         return float(self.best[k, self.index[d], self.index[c]])
 
 
-def _dense_all_pairs(dmat: np.ndarray) -> np.ndarray:
-    w = dmat.shape[0]
-    dp = np.full((1 << w, w, w), INF)  # dp[mask, last, start]
-    for i in range(w):
-        dp[1 << i, i, i] = 0.0
-    bits_cache = [[i for i in range(w) if mask >> i & 1] for mask in range(1 << w)]
-    for mask in range(1, 1 << w):
-        inside = bits_cache[mask]
-        sub = dp[mask]
-        live_rows = [i for i in inside if np.isfinite(sub[i]).any()]
-        if not live_rows:
-            continue
-        block = sub[live_rows]  # (r, w)
-        for p in range(w):
-            if mask >> p & 1:
-                continue
-            cand = (block + dmat[live_rows, p][:, None]).min(axis=0)
-            np.minimum(dp[mask | (1 << p), p], cand, out=dp[mask | (1 << p), p])
-    best = np.full((w + 1, w, w), INF)
-    popcounts = np.array([bin(m).count("1") for m in range(1 << w)])
-    for k in range(1, w + 1):
-        sel = np.nonzero(popcounts == k)[0]
-        best[k] = dp[sel].min(axis=0)
-    return best
+def _held_karp_table(dmat: np.ndarray) -> np.ndarray:
+    """best[k, last, start]: shortest start -> last path over exactly k points.
 
-
-def _sparse_all_pairs(dmat: np.ndarray) -> np.ndarray:
-    """Dict-based fallback for windows too large for the dense table."""
+    Visited sets are processed by popcount layer; a set of size k + 1 ending
+    at p has exactly one predecessor set (itself without p), so each layer
+    is one vectorised min-plus step per end point.
+    """
     w = dmat.shape[0]
+    masks = np.arange(1 << w)
+    popcount = sum((masks >> i) & 1 for i in range(w))
+    layers = [masks[popcount == k] for k in range(w + 1)]
     best = np.full((w + 1, w, w), INF)
-    for start in range(w):
-        reach = {(1 << start, start): 0.0}
-        frontier = [(1 << start, start)]
-        while frontier:
-            nxt = []
-            for (mask, last) in frontier:
-                cost = reach[(mask, last)]
-                k = bin(mask).count("1")
-                if cost < best[k, last, start]:
-                    best[k, last, start] = cost
-                for p in range(w):
-                    if mask >> p & 1:
-                        continue
-                    key = (mask | (1 << p), p)
-                    cand = cost + dmat[last, p]
-                    if cand < reach.get(key, INF):
-                        if key not in reach:
-                            nxt.append(key)
-                        reach[key] = cand
-            frontier = nxt
+    chunk = max(1, TABLE_BYTES // (8 * (1 << w) * w))
+    for lo in range(0, w, chunk):
+        hi = min(lo + chunk, w)
+        starts = np.arange(lo, hi)
+        dp = np.full((1 << w, w, hi - lo), INF)
+        dp[1 << starts, starts, starts - lo] = 0.0
+        for k in range(1, w + 1):
+            best[k, :, lo:hi] = dp[layers[k]].min(axis=0)
+            for p in range(w):
+                sub = layers[k][(layers[k] >> p) & 1 == 0]
+                dp[sub | (1 << p), p] = (dp[sub] + dmat[:, p, None]).min(axis=1)
+        del dp  # free it before the next chunk allocates its own
     return best
 
 

@@ -8,6 +8,7 @@ from orienteer.cli import main
 from orienteer.errors import InputError
 from orienteer.generate import CLUSTER_RADIUS, generate, generate_points
 from orienteer.io import Instance, Solution, dumps, load_instance, load_solution
+from orienteer.oracle import DEFAULT_MAX_POINTS, max_points_cap
 from orienteer.render import render_svg
 from orienteer.verify import verify_solution
 
@@ -244,6 +245,17 @@ def test_cli_capacity_exit_code(tmp_path):
     inst_file = tmp_path / "inst.json"
     inst_file.write_text(dumps(inst))
     assert main(["solve", str(inst_file), "-o", str(tmp_path / "out.json")]) == 4
+
+
+def test_cap_override_ends_with_its_command(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("ORIENTEER_MAX_POINTS", raising=False)
+    inst_file, sol_file = make_solution_via_cli(
+        tmp_path, "ktsp", n=11, extra=("--cap-override", "11")
+    )
+    assert max_points_cap() == DEFAULT_MAX_POINTS
+    capsys.readouterr()
+    assert main(["verify", str(inst_file), str(sol_file), "--oracle-check"]) == 0
+    assert "skipped: n=11 over the oracle cap" in capsys.readouterr().out
 
 
 def test_cli_kind_mismatch(tmp_path):

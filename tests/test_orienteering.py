@@ -12,9 +12,12 @@ from orienteer import (
     solve_orienteering,
 )
 from orienteer.errors import InputError
+from orienteer.generate import generate
+from orienteer.io import Solution
 from orienteer.oracle import brute_orienteering
 from orienteer.orienteering import OrienteeringInstance, segment_count
 from orienteer.paths import excess, path_length
+from orienteer.verify import verify_solution
 
 
 def test_skeleton_formula_examples():
@@ -131,6 +134,26 @@ def test_budget_chain_excess_split(rng):
         )
         assert len(kept) >= (1 - 1 / m) * k_opt - 1e-12
         assert seg_excesses[nu] >= sum(seg_excesses) / m - 1e-12
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-9])
+def test_budget_tolerance_is_scale_relative(scale):
+    # With a slack of 1e-9 * max(1, diameter), the 1e-9 copy of this
+    # instance accepted an 8-visit path 72% over budget; the optimum visits 6.
+    inst = generate(seed=3, n=8, d=2, kind="orienteering")
+    inst.points = [[c * scale for c in p] for p in inst.points]
+    inst.budget = 1.3 * scale
+    pts = inst.point_set()
+    sol = solve_orienteering(OrienteeringInstance(pts, inst.root, inst.budget, inst.delta))
+    assert sol.visited == 6
+    assert path_length(sol.path) <= inst.budget
+
+    over = Path(pts, (0, 2, 5, 6, 7, 1, 3, 4))
+    report = verify_solution(
+        inst, Solution(kind="orienteering", length=path_length(over), visited=8,
+                       visits=list(over.visits))
+    )
+    assert [c["check"] for c in report.checks if not c["ok"]] == ["within budget"]
 
 
 def test_instance_validation():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from orienteer import EndpointArrays, ExactWindowSolver, PointSet
+from orienteer import EndpointArrays, ExactWindowSolver, PointSet, window_solver
 from orienteer.errors import CapacityError, InputError
 from orienteer.oracle import brute_ktsp, brute_mktsp
 from orienteer.paths import path_length
@@ -151,6 +151,33 @@ def test_batched_table_agrees_with_per_query(rng, solver):
                         assert got == pytest.approx(ref.total_length, rel=1e-12)
                     else:
                         assert not ref.feasible
+
+
+def test_table_chunked_by_start_equals_one_chunk(rng, monkeypatch):
+    pts = PointSet(rng.random((9, 2)))
+    whole = ExactWindowSolver().single_slot_table(pts, range(9)).best
+    monkeypatch.setattr(window_solver, "TABLE_BYTES", 1)  # one start per chunk
+    chunked = ExactWindowSolver().single_slot_table(pts, range(9)).best
+    assert np.array_equal(chunked, whole)
+
+
+def test_fifteen_point_table_matches_collinear_closed_form(rng, solver):
+    # Unit-spaced points on a line, ids shuffled.  A c -> d path covers the
+    # |x_c - x_d| + 1 points between its ends for free; each further point
+    # lies outside that span and costs a detour of 2.
+    w = 15
+    x = rng.permutation(w)
+    pts = PointSet(np.column_stack([x, np.zeros(w)]))
+    table = solver.single_slot_table(pts, range(w))
+    for c in range(w):
+        for d in range(w):
+            for k in range(1, w + 1):
+                span = abs(int(x[c]) - int(x[d]))
+                if (k == 1) == (c == d):
+                    expected = span + 2 * max(0, k - span - 1)
+                else:
+                    expected = math.inf
+                assert table.length(c, d, k) == expected
 
 
 def test_delta_prime_is_recorded(solver):
