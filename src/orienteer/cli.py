@@ -192,7 +192,7 @@ def cmd_solve(args) -> int:
     else:
         result = solve_orienteering(
             OrienteeringInstance(points, inst.root, inst.budget, inst.delta),
-            window_solver=None,
+            window_solver=solver,
             rng_seed=args.seed,
         )
         solution = Solution(

@@ -93,9 +93,11 @@ def _fill_table(rotated: PointSet, solver, source: int, k: int, delta_prime: flo
     dmat = rotated.distance_matrix()
     r_s = rank[source]
 
+    full = solver.single_slot_table(rotated, order, delta_prime)
+
     def table(lo: int, hi: int):
         """Window oracle table over sweep positions lo..hi inclusive."""
-        return solver.single_slot_table(rotated, order[lo : hi + 1], delta_prime)
+        return full.window(lo, hi)
 
     # V[i][d_rank][k'] and parallel backpointers.
     V = np.full((n, n, k + 1), INF)

@@ -172,7 +172,7 @@ def solve_mktsp(
                 w_ids = order[j:i]  # sweep positions j+1 .. i
                 w_set = set(w_ids)
                 for S2, T2, bridge in _window_configs(
-                    S1, T1, w_ids, w_set, sources, sinks, rank, i, dmat, endpoint_ids
+                    S1, T1, w_ids, w_set, sources, sinks, rank, i, dmat
                 ):
                     lengths = solver.solve_lengths(
                         rotated, w_ids, EndpointArrays(S2, T2), delta_prime
@@ -232,19 +232,23 @@ def solve_mktsp(
     return multi, total
 
 
-def _window_configs(S1, T1, w_ids, w_set, sources, sinks, rank, col_i, dmat, endpoint_ids):
+def _window_configs(S1, T1, w_ids, w_set, sources, sinks, rank, col_i, dmat):
     """Yield feasible (S2, T2, bridge_cost) window endpoint configurations.
 
     Per slot: untouched, start at its prescribed source inside the window, or
-    bridge from the current frontier to an entry point.  A window point may
-    serve two slots only when it is a prescribed endpoint (chained pairs);
-    frontier moves that strand a sink behind the sweep are skipped.
+    bridge from the current frontier to an entry point.  Two slots may share
+    a window point only when it is a prescribed endpoint of each of them in
+    the role it plays there (a source it starts at, a sink it ends at), as
+    with chained pairs; any other point of a segment is interior to its
+    slot's path.  A one-point segment is allowed only at the slot's own sink.
+    Frontier moves that strand a sink behind the sweep are skipped.
     """
     m = len(S1)
     out: list[tuple] = []
 
-    def usable(p, used):
-        return p not in used or p in endpoint_ids
+    def fits(p, shared, used):
+        """`used` maps each held point to whether every holder may share it."""
+        return p not in used or (shared and used[p])
 
     def rec(l, S2, T2, bridge, used, any_active):
         if l == m:
@@ -260,40 +264,38 @@ def _window_configs(S1, T1, w_ids, w_set, sources, sinks, rank, col_i, dmat, end
 
         snk = sinks[l]
         sink_ahead = rank[snk] > col_i - 1
+
+        def exits(c):
+            """Points d the segment entered at c may end at."""
+            if c == snk:
+                return (snk,)
+            return [
+                d for d in w_ids
+                if d != c and (d == snk or sink_ahead) and fits(d, d == snk, used)
+            ]
+
         if S1[l] is None:
             src = sources[l]
-            if src in w_set and rank[snk] >= rank[src]:
-                for d in w_ids:
-                    if d != snk and not sink_ahead:
-                        continue
-                    if not (usable(src, used) and usable(d, used | {src})):
-                        continue
+            if src in w_set and rank[snk] >= rank[src] and fits(src, True, used):
+                for d in exits(src):
                     S2.append(src)
                     T2.append(d)
-                    used2 = used | {src, d}
-                    rec(l + 1, S2, T2, bridge, used2, True)
+                    rec(l + 1, S2, T2, bridge, {**used, src: True, d: d == snk}, True)
                     S2.pop()
                     T2.pop()
-        else:
-            frontier = T1[l]
-            if frontier != snk:
-                for c in w_ids:
-                    if not usable(c, used):
-                        continue
-                    step = dmat[frontier, c]
-                    for d in w_ids:
-                        if d != snk and not sink_ahead:
-                            continue
-                        if not usable(d, used | {c}):
-                            continue
-                        S2.append(c)
-                        T2.append(d)
-                        rec(l + 1, S2, T2, bridge + step, used | {c, d}, True)
-                        S2.pop()
-                        T2.pop()
-        return
+        elif T1[l] != snk:
+            for c in w_ids:
+                if not fits(c, c == snk, used):
+                    continue
+                step = dmat[T1[l], c]
+                for d in exits(c):
+                    S2.append(c)
+                    T2.append(d)
+                    rec(l + 1, S2, T2, bridge + step, {**used, c: c == snk, d: d == snk}, True)
+                    S2.pop()
+                    T2.pop()
 
-    rec(0, [], [], 0.0, set(), False)
+    rec(0, [], [], 0.0, {}, False)
     return out
 
 

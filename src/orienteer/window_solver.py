@@ -15,15 +15,18 @@ approximate implementation with the same methods leaves the sweeps intact.
 
 ``single_slot_table`` is a batched variant for the one-path case: one
 Held-Karp pass computes optima for *all* endpoint pairs and visit counts of a
-window, which is what the k-TSP sweep consumes in bulk.  The pass is
-vectorised over all visited sets of one size at a time and serves every
-window size up to the cap; its dp[mask, last, start] array is kept under
-``TABLE_BYTES`` by running the start points in chunks, so a small window is
-one chunk and an 18-point window runs one start at a time.
+window and, in the same pass, of every contiguous run of the window's points
+in sweep order, which is what the k-TSP sweep consumes in bulk: one table
+request per solve serves all of its windows.  The pass is vectorised over all
+visited sets of one size at a time and serves every window size up to the
+cap; its dp[mask, last, start] array is kept under ``TABLE_BYTES`` by running
+the start points in chunks, so a small window is one chunk and an 18-point
+window runs one start at a time.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -155,22 +158,27 @@ class ExactWindowSolver:
             raise InputError(f"endpoints {sorted(missing)} not inside the window")
         if k > len(pts) or k < len(endpoints.endpoint_ids()) or (k > 0 and not endpoints.active_slots()):
             return _infeasible(endpoints.slots)
-        lengths = self.solve_lengths(host, pts, endpoints, delta_prime)
-        if k not in lengths:
-            return _infeasible(endpoints.slots)
-        _, states = _multi_slot_dp(host, pts, endpoints, want_parents=True)
+        lengths, states = _multi_slot_dp(host, pts, endpoints, want_parents=True)
+        self._length_memo.setdefault((host, pts, endpoints.sources, endpoints.sinks), lengths)
         return _reconstruct(host, endpoints, pts, states, k)
 
     # -- batched single-slot interface ------------------------------------
 
     def single_slot_table(self, host: PointSet, point_ids, delta_prime: float = 0.0) -> "SingleSlotTable":
-        """All-pairs, all-counts optimal path lengths within one window."""
+        """All-pairs, all-counts optimal path lengths within one window.
+
+        The table also serves every contiguous run of the window's points in
+        the host's sweep order, through ``SingleSlotTable.window``.
+        """
         self.last_delta_prime = delta_prime
-        pts = tuple(sorted(int(p) for p in point_ids))
+        ranks = host.ranks
+        pts = tuple(sorted((int(p) for p in point_ids), key=lambda p: ranks[p]))
         self._check_cap(pts)
         key = (host, pts)
         if key not in self._table_memo:
-            self._table_memo[key] = SingleSlotTable(host, pts)
+            coords = host.coords[list(pts)]
+            dmat = np.linalg.norm(coords[:, None, :] - coords[None, :, :], axis=2)
+            self._table_memo[key] = SingleSlotTable(pts, _held_karp_ranges(dmat))
         return self._table_memo[key]
 
     def _check_cap(self, pts):
@@ -182,14 +190,22 @@ class ExactWindowSolver:
 
 class SingleSlotTable:
     """Exact table: best[k][d][c] = shortest path from c to d visiting
-    exactly k points of the window (INF when impossible)."""
+    exactly k points of the window (INF when impossible).
 
-    def __init__(self, host: PointSet, pts: tuple):
+    ``pts`` lists the window in sweep order and ``ranges[lo, hi]`` holds the
+    table of its run pts[lo..hi]; ``window(lo, hi)`` reads that run's table.
+    """
+
+    def __init__(self, pts: tuple, ranges: np.ndarray):
         self.pts = pts
         self.index = {p: i for i, p in enumerate(pts)}
-        coords = host.coords[list(pts)]
-        dmat = np.linalg.norm(coords[:, None, :] - coords[None, :, :], axis=2)
-        self.best = _held_karp_table(dmat)
+        self.ranges = ranges
+        self.best = ranges[0, -1]
+
+    def window(self, lo: int, hi: int) -> "SingleSlotTable":
+        """Table of the window's points lo..hi (inclusive, sweep order)."""
+        run = slice(lo, hi + 1)
+        return SingleSlotTable(self.pts[run], self.ranges[run, run, : hi - lo + 2, run, run])
 
     def length(self, c: int, d: int, k: int) -> float:
         """Optimal c -> d path over exactly k window points."""
@@ -198,31 +214,61 @@ class SingleSlotTable:
         return float(self.best[k, self.index[d], self.index[c]])
 
 
-def _held_karp_table(dmat: np.ndarray) -> np.ndarray:
-    """best[k, last, start]: shortest start -> last path over exactly k points.
+#: A solve passes over one window size, and the arrays of an 18-point pass
+#: take about 20 MB, so only the two latest sizes are kept.
+@functools.lru_cache(maxsize=2)
+def _layers(w: int) -> tuple:
+    """Index arrays of a w-point pass, one entry per visited-set size k >= 1.
+
+    Each entry holds the k-point sets sorted by (lowest, highest) point, the
+    offsets where a (lowest, highest) group begins, the group's lowest and
+    highest point, and per end point p the k-point sets without p.
+    """
+    masks = np.arange(1 << w)
+    popcount = sum((masks >> i) & 1 for i in range(w))
+    # Highest and lowest set bit of every mask (-1 for the empty set).
+    high = np.repeat(np.arange(-1, w), [1] + [1 << i for i in range(w)])
+    low = high[masks & -masks]
+    out = []
+    for k in range(1, w + 1):
+        layer = masks[popcount == k]
+        layer = layer[np.lexsort((high[layer], low[layer]))]
+        group = low[layer] * w + high[layer]
+        cuts = np.flatnonzero(np.diff(group, prepend=-1))
+        subs = [layer[(layer >> p) & 1 == 0] for p in range(w)]
+        out.append((layer, cuts, low[layer[cuts]], high[layer[cuts]], subs))
+    return tuple(out)
+
+
+def _held_karp_ranges(dmat: np.ndarray) -> np.ndarray:
+    """ranges[lo, hi, k, last, start]: shortest start -> last path over
+    exactly k of the points lo..hi (INF when lo > hi or no such path).
 
     Visited sets are processed by popcount layer; a set of size k + 1 ending
     at p has exactly one predecessor set (itself without p), so each layer
-    is one vectorised min-plus step per end point.
+    is one vectorised min-plus step per end point.  Each layer's optima are
+    reduced per (lowest, highest) point, and a set lies inside the run lo..hi
+    exactly when its lowest point is at least lo and its highest at most hi,
+    so a prefix-min over (lo, hi) yields every run's table from one pass.
     """
     w = dmat.shape[0]
-    masks = np.arange(1 << w)
-    popcount = sum((masks >> i) & 1 for i in range(w))
-    layers = [masks[popcount == k] for k in range(w + 1)]
-    best = np.full((w + 1, w, w), INF)
+    ranges = np.full((w, w, w + 1, w, w), INF)
     chunk = max(1, TABLE_BYTES // (8 * (1 << w) * w))
-    for lo in range(0, w, chunk):
-        hi = min(lo + chunk, w)
-        starts = np.arange(lo, hi)
-        dp = np.full((1 << w, w, hi - lo), INF)
-        dp[1 << starts, starts, starts - lo] = 0.0
-        for k in range(1, w + 1):
-            best[k, :, lo:hi] = dp[layers[k]].min(axis=0)
-            for p in range(w):
-                sub = layers[k][(layers[k] >> p) & 1 == 0]
+    for first in range(0, w, chunk):
+        stop = min(first + chunk, w)
+        starts = np.arange(first, stop)
+        dp = np.full((1 << w, w, stop - first), INF)
+        dp[1 << starts, starts, starts - first] = 0.0
+        for k, (layer, cuts, low, high, subs) in enumerate(_layers(w), 1):
+            ranges[low, high, k, :, first:stop] = np.minimum.reduceat(dp[layer], cuts)
+            for p, sub in enumerate(subs):
                 dp[sub | (1 << p), p] = (dp[sub] + dmat[:, p, None]).min(axis=1)
         del dp  # free it before the next chunk allocates its own
-    return best
+    for lo in range(w - 2, -1, -1):
+        np.minimum(ranges[lo], ranges[lo + 1], out=ranges[lo])
+    for hi in range(1, w):
+        np.minimum(ranges[:, hi], ranges[:, hi - 1], out=ranges[:, hi])
+    return ranges
 
 
 def _multi_slot_dp(host: PointSet, pts: tuple, endpoints: EndpointArrays, want_parents: bool):

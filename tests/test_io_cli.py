@@ -247,6 +247,14 @@ def test_cli_capacity_exit_code(tmp_path):
     assert main(["solve", str(inst_file), "-o", str(tmp_path / "out.json")]) == 4
 
 
+def test_cap_override_reaches_orienteering(tmp_path):
+    inst = generate(seed=3, n=6, d=2, kind="orienteering")
+    inst_file = tmp_path / "inst.json"
+    inst_file.write_text(dumps(inst))
+    out = str(tmp_path / "out.json")
+    assert main(["solve", str(inst_file), "-o", out, "--cap-override", "5"]) == 4
+
+
 def test_cap_override_ends_with_its_command(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("ORIENTEER_MAX_POINTS", raising=False)
     inst_file, sol_file = make_solution_via_cli(

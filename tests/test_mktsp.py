@@ -66,6 +66,36 @@ def test_chained_pairs_share_junctions(rng):
         assert total == pytest.approx(opt, rel=1e-9)
 
 
+def test_coincident_points_keep_slots_apart():
+    # Points 0 and 1 coincide; slot 0 must not end a window segment on
+    # point 0, which is the prescribed source of slot 1.
+    pts = PointSet([[0.1, 0.5], [0.1, 0.5], [0.9, 0.3], [0.7, 0.8], [0.6, 0.7]])
+    pairs = [(1, 4), (0, 2)]
+    multi, total = solve_mktsp(pts, pairs, 5)
+    _, opt = brute_mktsp(pts, pairs, 5)
+    assert total == pytest.approx(opt, rel=1e-9)
+    assert [(p.visits[0], p.visits[-1]) for p in multi.paths] == pairs
+
+
+def test_matches_brute_force_with_a_coincident_pair(rng):
+    # Two distinct ids share coordinates; they never form one pair, whose
+    # direction would be undefined.
+    for _ in range(100):
+        n = int(rng.integers(4, 8))
+        coords = rng.random((n, 2))
+        pairs = random_pairs(rng, n, 2)
+        a, b = (int(i) for i in rng.permutation(n)[:2])
+        if {a, b} in ({*pairs[0]}, {*pairs[1]}):
+            continue
+        coords[b] = coords[a]
+        pts = PointSet(coords)
+        k = int(rng.integers(4, n + 1))
+        multi, total = solve_mktsp(pts, pairs, k, 0.5)
+        _, opt = brute_mktsp(pts, pairs, k)
+        assert total == pytest.approx(opt, rel=1e-9)
+        assert len(multi.visited_ids()) >= k
+
+
 def test_total_length_recomputes(rng):
     for _ in range(10):
         n = int(rng.integers(4, 8))

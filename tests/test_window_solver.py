@@ -161,6 +161,59 @@ def test_table_chunked_by_start_equals_one_chunk(rng, monkeypatch):
     assert np.array_equal(chunked, whole)
 
 
+def held_karp_by_loops(coords):
+    """best[k, last, start] by a plain loop over visited sets, as reference."""
+    w = len(coords)
+    dmat = np.linalg.norm(coords[:, None, :] - coords[None, :, :], axis=2)
+    best = np.full((w + 1, w, w), math.inf)
+    for start in range(w):
+        dp = {(1 << start, start): 0.0}
+        for mask in range(1 << w):  # every proper subset comes first
+            for last in range(w):
+                cost = dp.get((mask, last))
+                if cost is None:
+                    continue
+                k = bin(mask).count("1")
+                best[k, last, start] = min(best[k, last, start], cost)
+                for p in range(w):
+                    if not mask >> p & 1:
+                        key = (mask | 1 << p, p)
+                        dp[key] = min(dp.get(key, math.inf), cost + dmat[last, p])
+    return best
+
+
+def test_every_run_of_one_pass_equals_its_own_table(rng):
+    # One pass over a window yields the table of each contiguous run of its
+    # sweep order, bitwise equal to a pass over that run's points alone and,
+    # for up to 8 points, to the plain loop.
+    for n, d in [(1, 2), (2, 3), (5, 2), (8, 3), (10, 2), (12, 3)]:
+        pts = PointSet(rng.random((n, d)))
+        table = ExactWindowSolver().single_slot_table(pts, range(n))
+        assert table.pts == tuple(int(p) for p in pts.sweep_order)
+        for lo in range(n):
+            for hi in range(lo, n):
+                run = table.window(lo, hi)
+                alone = ExactWindowSolver().single_slot_table(pts, table.pts[lo : hi + 1])
+                assert run.pts == alone.pts
+                assert np.array_equal(run.best, alone.best)
+                assert np.array_equal(run.ranges, alone.ranges)
+                if n <= 8:
+                    loops = held_karp_by_loops(pts.coords[list(run.pts)])
+                    assert np.array_equal(run.best, loops)
+
+
+def test_runs_of_a_scattered_request_follow_the_sweep_order(rng):
+    pts = PointSet(rng.random((11, 2)))
+    ids = [int(p) for p in pts.sweep_order[::2]]
+    shuffled = [ids[i] for i in rng.permutation(len(ids))]
+    table = ExactWindowSolver().single_slot_table(pts, shuffled)
+    assert table.pts == tuple(ids)
+    for lo in range(len(ids)):
+        for hi in range(lo, len(ids)):
+            alone = ExactWindowSolver().single_slot_table(pts, ids[lo : hi + 1])
+            assert np.array_equal(table.window(lo, hi).best, alone.best)
+
+
 def test_fifteen_point_table_matches_collinear_closed_form(rng, solver):
     # Unit-spaced points on a line, ids shuffled.  A c -> d path covers the
     # |x_c - x_d| + 1 points between its ends for free; each further point
