@@ -103,13 +103,15 @@ def generate(
 
 def _greedy_chain_length(pts: np.ndarray, start: int) -> float:
     n = pts.shape[0]
-    if n == 1:
-        return 0.0
-    todo = set(range(n)) - {start}
+    diff = pts[:, None, :] - pts[None, :, :]
+    # One dot product per pair, which rounds as np.linalg.norm of the pair does.
+    dist = np.sqrt(np.matmul(diff[..., None, :], diff[..., :, None]))[..., 0, 0]
+    left = np.ones(n, dtype=bool)
+    left[start] = False
     cur, total = start, 0.0
-    while todo:
-        nxt = min(todo, key=lambda j: float(np.linalg.norm(pts[cur] - pts[j])))
-        total += float(np.linalg.norm(pts[cur] - pts[nxt]))
-        todo.remove(nxt)
+    for _ in range(n - 1):
+        nxt = int(np.argmin(np.where(left, dist[cur], np.inf)))
+        total += float(dist[cur, nxt])
+        left[nxt] = False
         cur = nxt
     return total

@@ -7,13 +7,16 @@ that starts at the source, ends at point d, and visits k' points among the
 first i+1 in sweep order.  Entries combine a previously computed path with a
 bridge edge into a window subproblem solved by the window oracle:
 
-    V[i, d, k'] = min over j < i, d' <= p_j, c in (p_j, p_i], k'' < k' of
-                  V[j, d', k''] + |d' c| + window(p_{j+1}..p_i, c -> d, k'-k'')
+    V[i, d, k'] = min over j < i, c in (p_j, p_i], k'' < k' of
+                  W2[j, c, k''] + window(p_{j+1}..p_i, c -> d, k'-k''),
+    W2[j, c, k''] = min over d' <= p_j of V[j, d', k''] + |d' c|.
 
-seeded, for every column i at or right of the source, with the single-window
-solutions  V[i, d, k'] = window(p_1..p_i, source -> d, k').  The seeding
-ranges over all columns (not only the source's), so the trivial one-window
-decomposition is always among the candidates considered.
+Column j = -1 is the empty prefix: it sits at the source with zero length and
+zero visits, so W2[-1, c, k''] is 0 at (c = source, k'' = 0) and INF
+elsewhere.  Its candidates are the single-window solutions
+window(p_0..p_i, source -> d, k'), one per column i at or right of the
+source, so the trivial one-window decomposition is always among the
+candidates considered.
 
 With an exact window oracle the sweep returns the true optimum; with a
 (1 + delta')-approximate oracle run at delta' = delta/4 it returns a path of
@@ -31,7 +34,7 @@ import numpy as np
 from .errors import CapacityError, DegenerateInputError, InfeasibleError, InputError
 from .geometry import PointSet, rotate_to_axis
 from .paths import Path, path_length
-from .window_solver import ExactWindowSolver
+from .window_solver import EndpointArrays, ExactWindowSolver
 
 INF = math.inf
 
@@ -67,122 +70,78 @@ def solve_ktsp(
     solver = window_solver if window_solver is not None else ExactWindowSolver()
     cap = getattr(solver, "point_cap", None)
     if cap is not None and n > cap:
-        # The seed windows span the whole set, so the cap binds at n already.
+        # The first window spans the whole set, so the cap binds at n already.
         raise CapacityError(f"n={n} exceeds the window solver cap of {cap}")
     delta_prime = WINDOW_ACCURACY_FRACTION * delta
 
     rotated, _ = rotate_to_axis(points, source, sink)
     V, order, back = _fill_table(rotated, solver, source, k, delta_prime)
-    rank = {p: i for i, p in enumerate(order)}
-    r_t = rank[sink]
-
-    answer = V[points.n - 1, r_t, k]
-    if not math.isfinite(answer):
+    end = (n - 1, int(rotated.ranks[sink]), k)
+    if not math.isfinite(V[end]):
         raise InfeasibleError("no feasible path found")  # unreachable for valid input
 
-    visits = _reconstruct(rotated, solver, order, back, (points.n - 1, r_t, k), delta_prime)
+    visits = _reconstruct(rotated, solver, order, back, end, delta_prime)
     path = Path(points, tuple(visits))
     return path, path_length(path)
 
 
 def _fill_table(rotated: PointSet, solver, source: int, k: int, delta_prime: float):
-    """Run the sweep; returns (value table, sweep order, backpointers)."""
+    """Run the sweep; returns (value table, sweep order, backpointers).
+
+    Points are indexed by sweep rank.  back[i, d, k'] = (j, c, kw, d') names
+    the winning candidate: the prefix column j (-1 for the empty prefix), the
+    window's entry c and visit count kw, and the prefix's end d' in column j.
+    Among equal candidates the first in (j, c, kw) order wins.
+    """
     n = rotated.n
     order = [int(i) for i in rotated.sweep_order]
-    rank = {p: i for i, p in enumerate(order)}
-    dmat = rotated.distance_matrix()
-    r_s = rank[source]
-
+    r_s = order.index(source)
+    dmat = rotated.distance_matrix()[np.ix_(order, order)]
     full = solver.single_slot_table(rotated, order, delta_prime)
 
-    def table(lo: int, hi: int):
-        """Window oracle table over sweep positions lo..hi inclusive."""
-        return full.window(lo, hi)
-
-    # V[i][d_rank][k'] and parallel backpointers.
     V = np.full((n, n, k + 1), INF)
-    back: dict[tuple[int, int, int], tuple] = {}
+    back = np.full((n, n, k + 1, 4), -1)
+    # W2[j] (module docstring) and its argmin d'.  Row -1, a spare last row,
+    # is the empty prefix: 0 at (source, k'' = 0), INF elsewhere.
+    W2 = np.full((n + 1, n, k + 1), INF)
+    W2_arg = np.full((n + 1, n, k + 1), -1)
+    W2[-1, r_s, 0] = 0.0
+    kk = np.arange(k + 1)
 
     for i in range(r_s, n):
-        t_init = table(0, i)
-        for d_rank in range(i + 1):
-            d_id = order[d_rank]
-            for kk in range(1, k + 1):
-                val = t_init.length(source, d_id, kk)
-                if val < V[i, d_rank, kk]:
-                    V[i, d_rank, kk] = val
-                    back[(i, d_rank, kk)] = ("window", 0, i, source, d_id, kk, None)
-
-    # W2[j][c_rank][k''] = min over d' of V[j, d', k''] + |d' c|, computed
-    # from column j once the sweep has finalized it.
-    W2 = np.full((n, n, k + 1), INF)
-    W2_arg = np.full((n, n, k + 1), -1, dtype=int)
-
-    def fill_bridges(j: int):
-        reach = V[j, : j + 1, :]  # (j+1, k+1) over d' ranks
-        for c_rank in range(j + 1, n):
-            c_id = order[c_rank]
-            bridge = np.array([dmat[order[dr], c_id] for dr in range(j + 1)])
-            cand = reach + bridge[:, None]
-            W2[j, c_rank, :] = cand.min(axis=0)
-            W2_arg[j, c_rank, :] = cand.argmin(axis=0)
-
-    fill_bridges(r_s)
-    for i in range(r_s + 1, n):
-        for j in range(r_s, i):
-            t_win = table(j + 1, i)
-            for c_rank in range(j + 1, i + 1):
-                c_id = order[c_rank]
-                for d_rank in range(j + 1, i + 1):
-                    d_id = order[d_rank]
-                    for kw in range(1, i - j + 1):
-                        a_val = t_win.length(c_id, d_id, kw)
-                        if not math.isfinite(a_val):
-                            continue
-                        for k2 in range(1, k - kw + 1):
-                            base = W2[j, c_rank, k2]
-                            if not math.isfinite(base):
-                                continue
-                            total = base + a_val
-                            kk = k2 + kw
-                            if total < V[i, d_rank, kk]:
-                                V[i, d_rank, kk] = total
-                                back[(i, d_rank, kk)] = (
-                                    "step",
-                                    j,
-                                    i,
-                                    c_id,
-                                    d_id,
-                                    kw,
-                                    (int(W2_arg[j, c_rank, k2]), k2),
-                                )
+        for j in (-1, *range(r_s, i)):
+            w = i - j
+            win = full.window(j + 1, i).best  # [kw, d, c] over ranks j+1..i
+            # bridge[c, k', kw] = W2[j, c, k' - kw], INF where kw > k'.
+            pad = np.concatenate((np.full((w, w), INF), W2[j, j + 1 : i + 1]), axis=1)
+            bridge = pad[:, w + kk[:, None] - np.arange(w + 1)]
+            cand = bridge.transpose(1, 0, 2) + win.transpose(1, 2, 0)[:, None]
+            cand = cand.reshape(w, k + 1, w * (w + 1))  # [d, k', (c, kw)]
+            arg, best = cand.argmin(axis=2), cand.min(axis=2)
+            cols = V[i, j + 1 : i + 1]
+            sel = np.nonzero(best < cols)
+            cols[sel] = best[sel]
+            c, kw = np.divmod(arg[sel], w + 1)
+            c += j + 1
+            back[i, j + 1 : i + 1][sel] = np.column_stack(
+                (np.full_like(c, j), c, kw, W2_arg[j, c, sel[1] - kw])
+            )
         if i < n - 1:
-            fill_bridges(i)
+            bridges = V[i, : i + 1, None, :] + dmat[: i + 1, i + 1 :, None]
+            W2[i, i + 1 :] = bridges.min(axis=0)
+            W2_arg[i, i + 1 :] = bridges.argmin(axis=0)
 
     return V, order, back
 
 
 def _reconstruct(rotated, solver, order, back, key, delta_prime) -> list[int]:
     """Walk backpointers, expanding each window through the exact solver."""
-    from .window_solver import EndpointArrays
-
-    pieces: list[list[int]] = []
-    while True:
-        kind, lo_col, i, c_id, d_id, kw, prev = back[key]
-        if kind == "window":
-            window_ids = order[0 : i + 1]
-        else:
-            window_ids = order[lo_col + 1 : i + 1]
-        sol = solver.solve_window(
-            rotated, window_ids, EndpointArrays((c_id,), (d_id,)), kw, delta_prime
-        )
-        pieces.append(list(sol.paths[0].visits))
-        if kind == "window":
-            break
-        d_prime_rank, k2 = prev
-        key = (lo_col, d_prime_rank, k2)
-    pieces.reverse()
-    visits: list[int] = []
-    for piece in pieces:
-        visits.extend(piece)
-    return visits
+    i, d, kk = key
+    pieces: list[tuple] = []
+    while i >= 0:
+        j, c, kw, d_prev = (int(x) for x in back[i, d, kk])
+        ends = EndpointArrays((order[c],), (order[d],))
+        sol = solver.solve_window(rotated, order[j + 1 : i + 1], ends, kw, delta_prime)
+        pieces.append(sol.paths[0].visits)
+        i, d, kk = j, d_prev, kk - kw
+    return [p for piece in reversed(pieces) for p in piece]

@@ -34,7 +34,7 @@ from .errors import (
     InfeasibleError,
     InputError,
 )
-from .geometry import PointSet
+from .geometry import PointSet, Transform
 from .paths import MultiPath, Path, path_length
 from .window_solver import EndpointArrays, ExactWindowSolver
 
@@ -50,8 +50,8 @@ DEFAULT_MAX_SLOTS = 4
 ACCURACY_CONSTANT = 1.0
 
 
-def window_accuracy(delta: float, m: int, constant: float = ACCURACY_CONSTANT) -> float:
-    return constant * delta / (m ** 5.5)
+def window_accuracy(delta: float, m: int) -> float:
+    return ACCURACY_CONSTANT * delta / (m ** 5.5)
 
 
 def solve_mktsp(
@@ -107,7 +107,15 @@ def solve_mktsp(
         raise CapacityError(f"n={n} exceeds the window solver cap of {cap}")
     delta_prime = window_accuracy(delta, m)
 
-    transform, swapped = orient_pairs(points, pairs, rng_seed)
+    # A pair of coincident points has no direction; the sweep breaks its tie
+    # by id, so the lower id is its source.  Only the other pairs are oriented.
+    swapped = [s > t for s, t in pairs]
+    directed = [l for l, (s, t) in enumerate(pairs) if points.distance(s, t) > 0.0]
+    transform = Transform.identity(points.dim)
+    if directed:
+        transform, flips = orient_pairs(points, [pairs[l] for l in directed], rng_seed)
+        for l, flip in zip(directed, flips):
+            swapped[l] = flip
     rotated = points.transformed(transform)
     work_pairs = [
         (t, s) if flip else (s, t) for (s, t), flip in zip(pairs, swapped)

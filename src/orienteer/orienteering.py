@@ -81,7 +81,6 @@ def solve_orienteering(
     instance: OrienteeringInstance,
     window_solver=None,
     rng_seed: int = 0,
-    first_accept_per_k: bool = True,
 ) -> OrienteeringSolution:
     """Maximize visits under the budget with a (1 - delta) guarantee.
 
@@ -96,9 +95,8 @@ def solve_orienteering(
     no k is abandoned on a failed attempt.  Two sound lower bounds avoid
     solver calls for hopeless skeletons: the straight-line skeleton length,
     and the straight-line length plus the cheapest detour forced by having
-    to visit extra points.  With `first_accept_per_k` the scan moves on
-    after one accepted path at a given k, which cannot lower the visit
-    count of the result.
+    to visit extra points.  The scan moves on after one accepted path at a
+    given k, which cannot lower the visit count of the result.
     """
     points = instance.points
     n = points.n
@@ -207,7 +205,6 @@ def solve_orienteering(
             if length > budget + tol:
                 continue
             consider(OrienteeringSolution(path, visited, length, (k, skeleton)))
-            if first_accept_per_k:
-                break
+            break
     assert best is not None
     return best

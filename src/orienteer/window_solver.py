@@ -105,10 +105,9 @@ class ExactWindowSolver:
 
     Results are cached per (host, point set, endpoint arrays); the keys hold
     the host ``PointSet`` itself, which hashes by identity, so a cached host
-    stays alive until the cache is dropped.  The cache is write-once and can
-    be dropped with ``clear_cache``.  ``delta_prime`` arguments are accepted
-    for contract compatibility and stored on ``last_delta_prime`` so callers
-    can verify the plumbing.
+    stays alive as long as the solver.  The cache is write-once.
+    ``delta_prime`` arguments are accepted for contract compatibility and
+    stored on ``last_delta_prime`` so callers can verify the plumbing.
     """
 
     def __init__(self, point_cap: int = DEFAULT_POINT_CAP):
@@ -116,10 +115,6 @@ class ExactWindowSolver:
         self.last_delta_prime: float | None = None
         self._length_memo: dict = {}
         self._table_memo: dict = {}
-
-    def clear_cache(self):
-        self._length_memo.clear()
-        self._table_memo.clear()
 
     # -- general multi-slot interface ------------------------------------
 

@@ -202,6 +202,21 @@ def test_cli_collinear_budget_instance(tmp_path):
     assert sol.length == pytest.approx(3.0, abs=1e-9)
 
 
+def test_cli_solves_a_coincident_skeleton_pair(tmp_path):
+    inst = Instance(
+        kind="orienteering",
+        points=[[0.0, 0.0], [0.5, 0.5], [0.5, 0.5], [1.0, 0.0]],
+        delta=0.5,
+        root=0,
+        budget=1.2,
+    ).validate()
+    inst_file = tmp_path / "twin.json"
+    inst_file.write_text(dumps(inst))
+    sol_file = tmp_path / "twin_sol.json"
+    assert main(["solve", str(inst_file), "-o", str(sol_file), "--oracle-check"]) == 0
+    assert load_solution(sol_file).visited == 3
+
+
 def test_cli_solve_is_deterministic(tmp_path):
     a1, s1 = make_solution_via_cli(tmp_path, "orienteering", seed=12)
     sol_text_1 = s1.read_text()

@@ -112,3 +112,54 @@ def test_optimal_path_window_chain_bounds_cost(rng):
             sub_len = path_length(star.subpath(c, d))
             stitched += (delta / 4.0) * sub_len
         assert stitched <= opt + delta * excess(star) + 1e-9
+
+
+def tie_heavy_points(rng, n, d):
+    """Half-grid points of the unit cube with one interior point doubled, so
+    sweep ties, coincident points and equal-length optima are common."""
+    coords = rng.integers(0, 3, (n, d)) / 2.0
+    coords[int(rng.integers(2, n))] = coords[int(rng.integers(2, n))]
+    while np.array_equal(coords[0], coords[1]):
+        coords[1] = rng.integers(0, 3, d) / 2.0
+    return PointSet(coords)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_matches_brute_force_on_tie_heavy_inputs(rng, d):
+    for _ in range(40):
+        n = int(rng.integers(3, 9))
+        pts = tie_heavy_points(rng, n, d)
+        k = int(rng.integers(2, n + 1))
+        path, length = solve_ktsp(pts, 0, 1, k)
+        _, opt = brute_ktsp(pts, 0, 1, k)
+        assert length == pytest.approx(opt, rel=1e-9, abs=1e-12)
+        assert path.visits[0] == 0 and path.visits[-1] == 1
+        assert len(set(path.visits)) == len(path.visits) >= k
+
+
+@pytest.mark.parametrize(
+    "coords, k, visits",
+    [
+        ([[0.0], [1.0], [0.5], [0.5], [1.0], [0.0], [0.5]], 5, (0, 2, 3, 4, 1)),
+        ([[0.0, 0.0], [0.5, 1.0], [1.0, 0.5], [0.0, 1.0], [0.0, 0.5], [0.0, 0.5]], 6,
+         (0, 5, 4, 3, 2, 1)),
+        (
+            [[0.5, 0.5], [0.0, 1.0], [1.0, 0.5], [1.0, 0.5], [0.0, 1.0], [1.0, 1.0], [1.0, 0.5]],
+            7,
+            (0, 2, 3, 6, 5, 4, 1),
+        ),
+        (
+            [[0.0, 1.0, 0.0], [1.0, 1.0, 0.5], [0.5, 0.5, 1.0], [1.0, 0.5, 0.5],
+             [0.5, 0.5, 1.0], [1.0, 0.5, 0.0], [1.0, 0.0, 0.0]],
+            7,
+            (0, 4, 2, 3, 6, 5, 1),
+        ),
+    ],
+)
+def test_tie_order_picks_a_fixed_optimum(coords, k, visits):
+    # Each instance has several optimal paths.  Among equal candidates the
+    # sweep keeps the first in (prefix column, window entry, window visit
+    # count) order, and each bridge the first prefix end d', which yields
+    # exactly these visits.
+    path, _ = solve_ktsp(PointSet(coords), 0, 1, k)
+    assert path.visits == visits

@@ -96,6 +96,29 @@ def test_matches_brute_force_with_a_coincident_pair(rng):
         assert len(multi.visited_ids()) >= k
 
 
+def test_matches_brute_force_when_a_pair_coincides(rng):
+    # One pair's two points share coordinates, so only the other pair has a
+    # direction to orient; the coincident pair is swept in id order.
+    for _ in range(60):
+        n = int(rng.integers(4, 8))
+        coords = rng.random((n, 2))
+        pairs = random_pairs(rng, n, 2)
+        s, t = pairs[int(rng.integers(0, 2))]
+        coords[t] = coords[s]
+        pts = PointSet(coords)
+        k = int(rng.integers(4, n + 1))
+        multi, total = solve_mktsp(pts, pairs, k, 0.5)
+        _, opt = brute_mktsp(pts, pairs, k)
+        assert total == pytest.approx(opt, rel=1e-9)
+        assert [(p.visits[0], p.visits[-1]) for p in multi.paths] == pairs
+        assert len(multi.visited_ids()) >= k
+        # Alone, the pair leaves no direction at all; the frame stays as given.
+        multi, total = solve_mktsp(pts, [(t, s)], k - 1, 0.5)
+        _, opt = brute_mktsp(pts, [(t, s)], k - 1)
+        assert total == pytest.approx(opt, rel=1e-9, abs=1e-12)
+        assert (multi.paths[0].visits[0], multi.paths[0].visits[-1]) == (t, s)
+
+
 def test_total_length_recomputes(rng):
     for _ in range(10):
         n = int(rng.integers(4, 8))

@@ -164,3 +164,13 @@ def test_instance_validation():
         OrienteeringInstance(pts, 0, -1.0, 0.5)
     with pytest.raises(InputError):
         OrienteeringInstance(pts, 0, 1.0, 1.5)
+
+
+def test_coincident_skeleton_pair_is_solved():
+    # Points 1 and 2 coincide, and the skeleton scan asks for the pair
+    # (1, 2), which has no direction of its own.
+    pts = PointSet([[0, 0], [0.5, 0.5], [0.5, 0.5], [1, 0]])
+    sol = solve_orienteering(OrienteeringInstance(pts, 0, 1.2, 0.5))
+    best, _ = brute_orienteering(pts, 0, 1.2)
+    assert sol.visited == best == 3
+    assert path_length(sol.path) <= 1.2
