@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -38,8 +39,7 @@ EXIT_VERIFICATION = 5
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         with _oracle_cap(getattr(args, "cap_override", None)):
             return args.func(args)
@@ -75,7 +75,13 @@ def _fail(kind: str, exc: Exception, code: int) -> int:
     return code
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    Parsing reads the parser and returns a fresh namespace, so one parser
+    serves every call of ``main``.
+    """
     parser = argparse.ArgumentParser(
         prog="orienteer",
         description="Excess-bounded k-TSP, (m,k)-TSP and orienteering at desk scale.",

@@ -56,6 +56,7 @@ class PointSet:
         self.coords = coords
         self._sweep_order: np.ndarray | None = None
         self._ranks: np.ndarray | None = None
+        self._distance_matrix: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -96,8 +97,13 @@ class PointSet:
         return float(np.linalg.norm(self.coords[i] - self.coords[j]))
 
     def distance_matrix(self) -> np.ndarray:
-        diff = self.coords[:, None, :] - self.coords[None, :, :]
-        return np.linalg.norm(diff, axis=2)
+        """All pairwise distances, computed once and shared read-only."""
+        if self._distance_matrix is None:
+            diff = self.coords[:, None, :] - self.coords[None, :, :]
+            dmat = np.linalg.norm(diff, axis=2)
+            dmat.setflags(write=False)
+            self._distance_matrix = dmat
+        return self._distance_matrix
 
     def diameter(self) -> float:
         if self.n == 1:

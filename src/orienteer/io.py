@@ -9,6 +9,7 @@ objects produce byte-identical files (a property the golden tests rely on).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +20,26 @@ from .geometry import PointSet
 FORMAT_VERSION = 1
 
 KINDS = ("ktsp", "mktsp", "orienteering")
+
+
+def _is_int(value) -> bool:
+    """A JSON integer: true and false are not ids or counts."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """A JSON number that a float can hold; true and false are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        float(value)  # an integer literal may be too large
+    except OverflowError:
+        return False
+    return True
+
+
+def _is_id_list(value) -> bool:
+    return isinstance(value, list) and all(_is_int(v) for v in value)
 
 
 @dataclass
@@ -47,24 +68,30 @@ class Instance:
     def validate(self) -> "Instance":
         if self.kind not in KINDS:
             raise InputError(f"unknown problem kind {self.kind!r}")
-        if not self.points:
-            raise InputError("instance has no points")
+        if not isinstance(self.points, (list, tuple)) or not self.points:
+            raise InputError("instance needs a nonempty list of points")
+        if not all(isinstance(p, (list, tuple)) and all(_is_real(c) for c in p) for p in self.points):
+            raise InputError("each point must be a list of numbers")
         d = len(self.points[0])
         if d < 1 or any(len(p) != d for p in self.points):
             raise InputError("inconsistent point dimension")
         if not all(np.isfinite(np.asarray(self.points, dtype=float)).ravel()):
             raise InputError("coordinates must be finite")
-        if not (0 < self.delta):
-            raise InputError("delta must be positive")
+        if not _is_real(self.delta) or not (0 < self.delta):
+            raise InputError("delta must be a positive number")
         n = self.n
 
         def check_id(name, value):
-            if value is None or not (0 <= int(value) < n):
+            if not _is_int(value) or not (0 <= value < n):
                 raise InputError(f"{name} must be a point index in [0, {n})")
+
+        def check_k(low):
+            if not _is_int(self.k) or not (low <= self.k <= n):
+                raise InputError(f"{self.kind} needs an integer k with {low} <= k <= {n}")
 
         if self.kind == "orienteering":
             check_id("root", self.root)
-            if self.budget is None or self.budget < 0:
+            if not _is_real(self.budget) or math.isnan(self.budget) or self.budget < 0:
                 raise InputError("orienteering needs a nonnegative budget")
             if self.k is not None or self.pairs is not None:
                 raise InputError("budget and k/pairs are mutually exclusive")
@@ -73,20 +100,18 @@ class Instance:
         elif self.kind == "ktsp":
             check_id("source", self.source)
             check_id("sink", self.sink)
-            if self.k is None or not (2 <= self.k <= n):
-                raise InputError(f"ktsp needs 2 <= k <= {n}")
+            check_k(2)
             if self.budget is not None:
                 raise InputError("budget and k are mutually exclusive")
         else:  # mktsp
-            if not self.pairs:
-                raise InputError("mktsp needs endpoint pairs")
+            if not isinstance(self.pairs, (list, tuple)) or not self.pairs:
+                raise InputError("mktsp needs a list of endpoint pairs")
             for pair in self.pairs:
-                if len(pair) != 2:
+                if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                     raise InputError("each pair is [source, sink]")
                 check_id("pair source", pair[0])
                 check_id("pair sink", pair[1])
-            if self.k is None or not (1 <= self.k <= n):
-                raise InputError(f"mktsp needs 1 <= k <= {n}")
+            check_k(1)
             if self.budget is not None:
                 raise InputError("budget and k are mutually exclusive")
         return self
@@ -132,7 +157,7 @@ class Instance:
             source=data.get("source"),
             sink=data.get("sink"),
             k=data.get("k"),
-            pairs=[list(p) for p in data["pairs"]] if data.get("pairs") else None,
+            pairs=data.get("pairs") or None,
         )
         inst.validate()
         if "dimension" in data and data["dimension"] != inst.dimension:
@@ -175,14 +200,19 @@ class Solution:
         if kind not in KINDS:
             raise InputError(f"unknown problem kind {kind!r}")
         if kind == "mktsp":
-            if "visits_per_path" not in data:
-                raise InputError("mktsp solution needs visits_per_path")
-        elif "visits" not in data:
-            raise InputError(f"{kind} solution needs a visits list")
+            paths = data.get("visits_per_path")
+            if not isinstance(paths, list) or not all(_is_id_list(seq) for seq in paths):
+                raise InputError("mktsp solution needs visits_per_path, lists of point ids")
+        elif not _is_id_list(data.get("visits")):
+            raise InputError(f"{kind} solution needs a visits list of point ids")
+        if not _is_real(data.get("length")):
+            raise InputError("solution length must be a number")
+        if not _is_int(data.get("visited")):
+            raise InputError("solution visited count must be an integer")
         return Solution(
             kind=kind,
             length=float(data["length"]),
-            visited=int(data["visited"]),
+            visited=data["visited"],
             visits=data.get("visits"),
             visits_per_path=data.get("visits_per_path"),
             config=data.get("config", {}),

@@ -122,17 +122,15 @@ def solve_orienteering(
     # Certificate table: the optimal k-visit rooted path length for every k,
     # from one all-pairs window solve over the whole point set.  Any path a
     # skeleton query could accept at k is at least this long, so k values
-    # with a certificate above the budget are skipped outright.  Any other
-    # (1 + delta')-approximate solver only overestimates, hence the divisor.
+    # with a certificate above the budget are skipped outright.  The table is
+    # requested at delta' = 0, where the oracle contract "at most (1 + delta')
+    # times the optimum" is exact, so any oracle that keeps the contract gives
+    # a sound bound without a divisor.
     rooted_bound = None
     try:
         bound_solver = window_solver if window_solver is not None else ExactWindowSolver()
-        table = bound_solver.single_slot_table(points, list(range(n)))
-        divisor = 1.0 if isinstance(bound_solver, ExactWindowSolver) else 2.0
-        rooted_bound = {
-            k: min(table.length(root, t, k) for t in range(n)) / divisor
-            for k in range(2, n + 1)
-        }
+        table = bound_solver.single_slot_table(points, list(range(n)), delta_prime=0.0)
+        rooted_bound = table.best[:, :, table.index[root]].min(axis=1)  # [k]
     except CapacityError:
         pass  # no certificate; every k goes through the skeleton scan
 

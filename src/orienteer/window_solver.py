@@ -3,9 +3,13 @@
 Given a set of candidate points, per-slot endpoint prescriptions (or null for
 an idle slot) and a visit count, ``solve_window`` returns the cheapest way to
 route one path per active slot through exactly that many distinct points.
-The search is a bitmask dynamic program over (visited set, open slot, current
-point); slots are processed in index order and transitions between slots cost
-nothing, since the objective is the plain sum of path lengths.
+The search is one bitmask dynamic program over (slot, visited set, current
+point), with a single mode: it always keeps parent links.  Slots are
+processed in index order, each as a loop over its states bucketed by visit
+count, and transitions between slots cost nothing, since the objective is the
+plain sum of path lengths.  ``solve_lengths`` memoizes only the lengths, so
+``solve_window`` re-runs the DP to read a system back from the parent links.
+Both read distances from the host's one ``distance_matrix``.
 
 The plane sweeps only require the weaker contract "length at most
 (1 + delta_prime) times the window optimum for the requested delta_prime";
@@ -96,16 +100,13 @@ class WindowSolution:
         return math.isfinite(self.total_length)
 
 
-def _infeasible(slots: int) -> WindowSolution:
-    return WindowSolution(INF, tuple([None] * slots), 0)
-
-
 class ExactWindowSolver:
     """Exact window oracle with memoized all-count solves.
 
-    Results are cached per (host, point set, endpoint arrays); the keys hold
+    Lengths are cached per (host, point set, endpoint arrays); the keys hold
     the host ``PointSet`` itself, which hashes by identity, so a cached host
-    stays alive as long as the solver.  The cache is write-once.
+    stays alive as long as the solver.  The cache is write-once and holds no
+    parent links: ``solve_window`` re-runs the DP to reconstruct its paths.
     ``delta_prime`` arguments are accepted for contract compatibility and
     stored on ``last_delta_prime`` so callers can verify the plumbing.
     """
@@ -125,13 +126,9 @@ class ExactWindowSolver:
 
         Returns a dict mapping k -> length; missing keys are infeasible.
         """
-        self.last_delta_prime = delta_prime
-        pts = tuple(sorted(int(p) for p in point_ids))
-        self._check_cap(pts)
-        key = (host, pts, endpoints.sources, endpoints.sinks)
+        key = self._key(host, point_ids, endpoints, delta_prime)
         if key not in self._length_memo:
-            lengths, _ = _multi_slot_dp(host, pts, endpoints, want_parents=False)
-            self._length_memo[key] = lengths
+            self._length_memo[key] = _multi_slot_dp(host, key[1], endpoints)[0]
         return self._length_memo[key]
 
     def solve_window(
@@ -143,19 +140,17 @@ class ExactWindowSolver:
         delta_prime: float = 0.0,
     ) -> WindowSolution:
         """Cheapest path system visiting exactly k distinct points."""
+        key = self._key(host, point_ids, endpoints, delta_prime)
+        lengths, finals = _multi_slot_dp(host, key[1], endpoints)
+        self._length_memo.setdefault(key, lengths)
+        return _reconstruct(host, key[1], endpoints, lengths, finals, k)
+
+    def _key(self, host: PointSet, point_ids, endpoints: EndpointArrays, delta_prime: float):
+        """Memo key of a multi-slot query, after the cap check."""
         self.last_delta_prime = delta_prime
         pts = tuple(sorted(int(p) for p in point_ids))
         self._check_cap(pts)
-        if endpoints.has_half_null_slot():
-            return _infeasible(endpoints.slots)
-        missing = endpoints.endpoint_ids() - set(pts)
-        if missing:
-            raise InputError(f"endpoints {sorted(missing)} not inside the window")
-        if k > len(pts) or k < len(endpoints.endpoint_ids()) or (k > 0 and not endpoints.active_slots()):
-            return _infeasible(endpoints.slots)
-        lengths, states = _multi_slot_dp(host, pts, endpoints, want_parents=True)
-        self._length_memo.setdefault((host, pts, endpoints.sources, endpoints.sinks), lengths)
-        return _reconstruct(host, endpoints, pts, states, k)
+        return (host, pts, endpoints.sources, endpoints.sinks)
 
     # -- batched single-slot interface ------------------------------------
 
@@ -171,8 +166,7 @@ class ExactWindowSolver:
         self._check_cap(pts)
         key = (host, pts)
         if key not in self._table_memo:
-            coords = host.coords[list(pts)]
-            dmat = np.linalg.norm(coords[:, None, :] - coords[None, :, :], axis=2)
+            dmat = host.distance_matrix()[np.ix_(pts, pts)]
             self._table_memo[key] = SingleSlotTable(pts, _held_karp_ranges(dmat))
         return self._table_memo[key]
 
@@ -266,127 +260,80 @@ def _held_karp_ranges(dmat: np.ndarray) -> np.ndarray:
     return ranges
 
 
-def _multi_slot_dp(host: PointSet, pts: tuple, endpoints: EndpointArrays, want_parents: bool):
-    """Slot-sequential bitmask DP.
+def _multi_slot_dp(host: PointSet, pts: tuple, endpoints: EndpointArrays):
+    """Slot-sequential bitmask DP over (slot position, closed, mask, point).
 
-    Returns (lengths, final_states) where lengths maps visit count -> optimal
-    total length and final_states (only when ``want_parents``) maps visit
-    count -> (cost, state_key, parents) for reconstruction.
+    Returns (lengths, finals): lengths maps visit count -> optimal total
+    length, and finals maps visit count -> (final state, parent links) for
+    ``_reconstruct``.  Both miss every count when a slot is half null, and
+    hold only k = 0 when no slot is active.
     """
     if endpoints.has_half_null_slot():
         return {}, {}
     active = endpoints.active_slots()
     if not active:
-        return {0: 0.0}, {0: (0.0, None, {})}
+        return {0: 0.0}, {0: (None, {})}
 
     index = {p: i for i, p in enumerate(pts)}
     for p in endpoints.endpoint_ids():
         if p not in index:
             raise InputError(f"endpoint {p} not inside the window")
-    coords = host.coords[list(pts)]
-    dmat = np.linalg.norm(coords[:, None, :] - coords[None, :, :], axis=2).tolist()
-
+    dmat = host.distance_matrix()[np.ix_(pts, pts)].tolist()
     endpoint_local = {index[p] for p in endpoints.endpoint_ids()}
     interiors = [i for i in range(len(pts)) if i not in endpoint_local]
 
     parents: dict = {}
 
-    def record(key, parent_key, cost, store: dict) -> bool:
+    def record(key, parent, cost, store: dict):
         if cost < store.get(key, INF):
             store[key] = cost
-            if want_parents:
-                parents[key] = parent_key
-            return True
-        return False
+            parents[key] = parent
 
-    # Open the first slot; states are keyed (slot_pos, closed, mask, cur).
-    s0 = index[endpoints.sources[active[0]]]
-    states: dict = {}
-    start_key = (0, False, 1 << s0, s0)
-    states[start_key] = 0.0
-    if want_parents:
-        parents[start_key] = None
-
+    closed: dict = {None: 0.0}  # the empty system before the first slot
     for pos, slot in enumerate(active):
-        s_l = index[endpoints.sources[slot]]
-        t_l = index[endpoints.sinks[slot]]
-        open_states = {k: v for k, v in states.items() if k[0] == pos and not k[1]}
-        closed: dict = {}
-        if s_l == t_l:
-            # Degenerate slot: the path is the single point, no interiors.
-            for key, cost in open_states.items():
-                record((pos, True, key[2], t_l), key, cost, closed)
-        else:
-            # Grow by interior moves in increasing-popcount order, closing at
-            # the sink from every intermediate state.
-            by_pop: dict[int, dict] = {}
-            for key, cost in open_states.items():
-                by_pop.setdefault(bin(key[2]).count("1"), {})[key] = cost
-            live = dict(open_states)
-            for pop in sorted(set(by_pop) | set(range(len(pts) + 2))):
-                bucket = by_pop.get(pop)
-                if not bucket:
-                    continue
-                for key, cost in list(bucket.items()):
-                    if cost > live.get(key, INF):
-                        continue
-                    _, _, mask, cur = key
-                    close_key = (pos, True, mask | (1 << t_l), t_l)
-                    record(close_key, key, cost + dmat[cur][t_l], closed)
-                    for p in interiors:
-                        if mask >> p & 1:
-                            continue
-                        nkey = (pos, False, mask | (1 << p), p)
-                        ncost = cost + dmat[cur][p]
-                        if record(nkey, key, ncost, live):
-                            by_pop.setdefault(pop + 1, {})[nkey] = ncost
-        if pos + 1 < len(active):
-            nxt_slot = active[pos + 1]
-            s_next = index[endpoints.sources[nxt_slot]]
-            states = {}
-            for key, cost in closed.items():
-                nkey = (pos + 1, False, key[2] | (1 << s_next), s_next)
-                record(nkey, key, cost, states)
-        else:
-            states = closed
+        s = index[endpoints.sources[slot]]
+        t = index[endpoints.sinks[slot]]
+        # Open the slot at its source from every state that closed the
+        # previous one, bucketed by visit count; a move adds one point, so
+        # each bucket is final before it is expanded.
+        layers: list[dict] = [{} for _ in range(len(pts) + 1)]
+        for key, cost in closed.items():
+            mask = (key[2] if key else 0) | 1 << s
+            record((pos, False, mask, s), key, cost, layers[mask.bit_count()])
+        closed = {}
+        moves = interiors if s != t else []  # a one-point slot has no interior
+        for pop, layer in enumerate(layers):
+            for key, cost in layer.items():
+                _, _, mask, cur = key
+                record((pos, True, mask | 1 << t, t), key, cost + dmat[cur][t], closed)
+                for p in moves:
+                    if not mask >> p & 1:
+                        nkey = (pos, False, mask | 1 << p, p)
+                        record(nkey, key, cost + dmat[cur][p], layers[pop + 1])
 
     lengths: dict[int, float] = {}
-    final_states: dict[int, tuple] = {}
-    for key, cost in states.items():
-        k = bin(key[2]).count("1")
+    finals: dict[int, tuple] = {}
+    for key, cost in closed.items():
+        k = key[2].bit_count()
         if cost < lengths.get(k, INF):
             lengths[k] = cost
-            if want_parents:
-                final_states[k] = (cost, key, parents)
-    return lengths, final_states
+            finals[k] = (key, parents)
+    return lengths, finals
 
 
-def _reconstruct(host: PointSet, endpoints: EndpointArrays, pts: tuple, final_states, k: int) -> WindowSolution:
-    if k not in final_states:
-        return _infeasible(endpoints.slots)
-    cost, key, parents = final_states[k]
-    if key is None:  # no active slots, k == 0
-        return WindowSolution(0.0, tuple([None] * endpoints.slots), 0)
-    active = endpoints.active_slots()
-    chain = []
-    while key is not None:
-        chain.append(key)
-        key = parents[key]
-    chain.reverse()
-    # Split the chain into per-slot visit sequences of local indices.  A
-    # repeated (cur, mask) step is the no-move close of a degenerate slot.
-    visits_per_pos: list[list[int]] = [[] for _ in active]
-    prev = None
-    for state in chain:
-        pos, _, mask, cur = state
-        seq = visits_per_pos[pos]
-        if prev is not None and prev[0] == pos and prev[2] == mask and prev[3] == cur:
-            prev = state
-            continue
-        seq.append(cur)
-        prev = state
+def _reconstruct(host: PointSet, pts: tuple, endpoints: EndpointArrays, lengths, finals, k: int) -> WindowSolution:
     paths: list[Path | None] = [None] * endpoints.slots
+    if k not in finals:
+        return WindowSolution(INF, tuple(paths), 0)
+    key, parents = finals[k]
+    active = endpoints.active_slots()
+    visits: list[list[int]] = [[] for _ in active]
+    while key is not None:
+        parent = parents[key]
+        pos, closed, _, cur = key
+        if not (closed and parent[3] == cur):  # else the close of a one-point slot
+            visits[pos].append(cur)
+        key = parent
     for pos, slot in enumerate(active):
-        ids = tuple(pts[i] for i in visits_per_pos[pos])
-        paths[slot] = Path(host, ids)
-    return WindowSolution(float(cost), tuple(paths), k)
+        paths[slot] = Path(host, tuple(pts[i] for i in reversed(visits[pos])))
+    return WindowSolution(lengths[k], tuple(paths), k)

@@ -84,3 +84,17 @@ def test_sweep_order_is_a_strict_total_order_under_ties():
 def test_pointset_rejects_nonfinite():
     with pytest.raises(InputError):
         PointSet([[0.0, float("nan")]])
+
+
+def test_distance_matrix_is_computed_once_and_read_only(rng):
+    pts = PointSet(rng.random((7, 3)))
+    dmat = pts.distance_matrix()
+    assert pts.distance_matrix() is dmat
+    assert not dmat.flags.writeable
+    assert np.array_equal(dmat, np.linalg.norm(pts.coords[:, None] - pts.coords[None], axis=2))
+    moved, _ = rotate_to_axis(pts, 0, 1)
+    moved_dmat = moved.distance_matrix()
+    assert moved_dmat is not dmat and moved.distance_matrix() is moved_dmat
+    assert np.array_equal(
+        moved_dmat, np.linalg.norm(moved.coords[:, None] - moved.coords[None], axis=2)
+    )

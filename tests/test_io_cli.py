@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from orienteer.io import Instance, Solution, dumps, load_instance, load_solution
 from orienteer.oracle import DEFAULT_MAX_POINTS, max_points_cap
 from orienteer.render import render_svg
 from orienteer.verify import verify_solution
+from orienteer.window_solver import DEFAULT_POINT_CAP
 
 
 # ---- file formats ----------------------------------------------------------
@@ -285,3 +287,82 @@ def test_cli_kind_mismatch(tmp_path):
     inst_file, _ = make_solution_via_cli(tmp_path, "ktsp")
     assert main(["solve", str(inst_file), "-o", str(tmp_path / "x.json"),
                  "--kind", "orienteering"]) == 2
+
+
+SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+VALID_FILES = {
+    "orienteering": {"version": 1, "kind": "orienteering", "points": SQUARE,
+                     "delta": 0.5, "root": 0, "budget": 2.5},
+    "ktsp": {"version": 1, "kind": "ktsp", "points": SQUARE, "delta": 0.5,
+             "source": 0, "sink": 3, "k": 3},
+    "mktsp": {"version": 1, "kind": "mktsp", "points": SQUARE, "delta": 0.5,
+              "pairs": [[0, 1], [2, 3]], "k": 4},
+    "solution": {"version": 1, "kind": "ktsp", "length": 3.0, "visited": 4,
+                 "visits": [0, 1, 2, 3], "config": {}, "verification": "passed"},
+}
+
+
+@pytest.mark.parametrize(
+    "base, field, value",
+    [
+        ("orienteering", "points", 5),
+        ("orienteering", "points", [1, 2]),
+        ("orienteering", "points", [["a", 0]] + SQUARE[1:]),
+        pytest.param("orienteering", "points", [[10**400, 0]] + SQUARE[1:], id="huge-coordinate"),
+        ("orienteering", "delta", "x"),
+        ("orienteering", "budget", "1"),
+        ("orienteering", "budget", math.nan),
+        pytest.param("orienteering", "budget", 10**400, id="huge-budget"),
+        ("orienteering", "root", 1.5),
+        ("orienteering", "root", True),
+        ("ktsp", "k", 2.5),
+        ("ktsp", "source", 0.5),
+        ("mktsp", "pairs", [[0, 1], 5]),
+        ("mktsp", "pairs", [[0, 1.5], [2, 3]]),
+        ("solution", "length", "x"),
+        ("solution", "visited", None),
+        ("solution", "visits", "01"),
+        ("solution", "visits", [0, 1.0]),
+        ("solution", "visits", [0, None]),
+    ],
+)
+def test_malformed_file_exits_2(tmp_path, capsys, base, field, value):
+    inst_file, sol_file = tmp_path / "inst.json", tmp_path / "sol.json"
+    inst_file.write_text(json.dumps(VALID_FILES["ktsp"]))
+    sol_file.write_text(json.dumps(VALID_FILES["solution"]))
+    bad = sol_file if base == "solution" else inst_file
+    bad.write_text(json.dumps({**VALID_FILES[base], field: value}))
+    if base == "solution":
+        argv = ["verify", str(inst_file), str(sol_file)]
+    else:
+        argv = ["solve", str(inst_file), "-o", str(tmp_path / "out.json")]
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "malformed-input"
+
+
+def test_one_parser_serves_calls_without_leaking_options(tmp_path, monkeypatch):
+    from orienteer import cli
+
+    monkeypatch.delenv("ORIENTEER_MAX_POINTS", raising=False)
+    inst_file, sol_file = make_solution_via_cli(tmp_path, "ktsp")
+    seen = []
+    real_solve, real_verify = cli.solve_ktsp, cli.verify_solution
+
+    def solve_ktsp(points, source, sink, k, delta, solver):
+        seen.append(("cap", solver.point_cap, os.environ.get("ORIENTEER_MAX_POINTS")))
+        return real_solve(points, source, sink, k, delta, solver)
+
+    def verify_solution(instance, solution, oracle_check=False):
+        seen.append(("oracle_check", oracle_check))
+        return real_verify(instance, solution, oracle_check=oracle_check)
+
+    monkeypatch.setattr(cli, "solve_ktsp", solve_ktsp)
+    monkeypatch.setattr(cli, "verify_solution", verify_solution)
+    argv = ["solve", str(inst_file), "-o", str(sol_file)]
+    assert main(argv + ["--oracle-check", "--cap-override", "11"]) == 0
+    assert main(argv) == 0
+    assert seen == [
+        ("cap", 11, "11"), ("oracle_check", True),
+        ("cap", DEFAULT_POINT_CAP, None), ("oracle_check", False),
+    ]
+    assert cli.build_parser() is cli.build_parser()

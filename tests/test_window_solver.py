@@ -237,3 +237,46 @@ def test_delta_prime_is_recorded(solver):
     pts = PointSet([[0, 0], [1, 0]])
     solver.solve_window(pts, [0, 1], EndpointArrays((0,), (1,)), 2, delta_prime=0.125)
     assert solver.last_delta_prime == 0.125
+
+
+#: Half-grid points with a doubled point (ids 2 and 3), so many systems tie.
+TIE_GRID = [[0.0, 0.0], [0.5, 0.0], [0.5, 0.5], [0.5, 0.5], [1.0, 0.0], [1.0, 0.5], [0.0, 0.5]]
+
+
+@pytest.mark.parametrize(
+    "sources, sinks, lengths, visits",
+    [
+        (  # one slot
+            (0,), (4,),
+            [(2, 1.0), (3, 1.0), (4, 1.4142135623730951), (5, 1.7071067811865475),
+             (6, 2.0), (7, 2.7071067811865475)],
+            {2: ((0, 4),), 3: ((0, 1, 4),), 4: ((0, 2, 3, 4),), 5: ((0, 1, 2, 3, 4),),
+             6: ((0, 1, 2, 3, 5, 4),), 7: ((0, 1, 6, 2, 3, 5, 4),)},
+        ),
+        (  # chained a -> b, b -> c
+            (0, 4), (4, 6),
+            [(3, 2.118033988749895), (4, 2.118033988749895), (5, 2.2071067811865475),
+             (6, 2.2071067811865475), (7, 2.5)],
+            {3: ((0, 4), (4, 6)), 4: ((0, 1, 4), (4, 6)), 5: ((0, 1, 4), (4, 2, 6)),
+             6: ((0, 1, 4), (4, 2, 3, 6)), 7: ((0, 1, 4), (4, 5, 2, 3, 6))},
+        ),
+        (  # an idle slot, then a one-point slot beside a normal slot
+            (None, 3, 0), (None, 3, 5),
+            [(3, 1.118033988749895), (4, 1.2071067811865475), (5, 1.5),
+             (6, 2.2071067811865475), (7, 2.5)],
+            {3: (None, (3,), (0, 5)), 4: (None, (3,), (0, 1, 5)), 5: (None, (3,), (0, 1, 2, 5)),
+             6: (None, (3,), (0, 1, 2, 4, 5)), 7: (None, (3,), (0, 6, 2, 1, 4, 5))},
+        ),
+    ],
+)
+def test_multi_slot_tie_order_picks_a_fixed_optimum(sources, sinks, lengths, visits):
+    # Recorded from the dict DP before it became one layered loop: the
+    # lengths come in this order, and ties go to the first system found.
+    pts = PointSet(TIE_GRID)
+    ends = EndpointArrays(sources, sinks)
+    ids = range(len(TIE_GRID))
+    assert list(ExactWindowSolver().solve_lengths(pts, ids, ends).items()) == lengths
+    for k, expected in visits.items():
+        sol = ExactWindowSolver().solve_window(pts, ids, ends, k)
+        assert tuple(None if p is None else p.visits for p in sol.paths) == expected
+        assert sol.total_length == dict(lengths)[k]
