@@ -5,15 +5,21 @@ so that every prescribed segment faces forward along the sweep axis with an
 angle margin of 1/(8 m^1.5); this is what lets backward edges of *any* slot
 charge against the joint excess.  The sweep then fills a table keyed by
 
-    (column p_i, per-slot sources S, per-slot frontiers T, visit count k')
+    (column p_i, per-slot frontiers T, visit count k')
 
-holding the cheapest multi-path prefix that uses points up to p_i: slot l is
-either untouched by a transition, starts inside the transition's window (its
-prescribed source must lie there), or bridges from its current frontier to a
-window entry point and continues to a new frontier inside the window.  Window
-subproblems go through the exact window oracle; transitions between slots on
-null endpoints cost nothing.  Only states reachable from the all-null base
-entry are materialized.
+holding the cheapest multi-path prefix that uses points up to p_i.  T[l] is
+None until slot l starts, which it does at its prescribed source, so the
+frontiers alone say which slots have started.  A transition leaves slot l
+untouched, starts it inside the transition's window (its prescribed source
+must lie there), or bridges from its current frontier to a window entry point
+and continues to a new frontier inside the window.  Window subproblems go
+through the exact window oracle; transitions between slots on null endpoints
+cost nothing.
+
+Only states that can still finish are stored.  Each window configuration is
+checked before its oracle call and dropped when the sweep has already passed
+an endpoint the new state still needs, or when the prefix cost plus the
+straight-line completion bound exceeds the cost cap.
 
 At desk scale the table is exact, so results equal brute-force enumeration;
 the oracle accuracy knob is still plumbed through as
@@ -24,7 +30,6 @@ window solvers.
 from __future__ import annotations
 
 import math
-import warnings
 
 from .directions import orient_pairs
 from .errors import (
@@ -39,10 +44,6 @@ from .paths import MultiPath, Path, path_length
 from .window_solver import EndpointArrays, ExactWindowSolver
 
 INF = math.inf
-
-#: Default guard on the number of simultaneous paths (state space grows as
-#: n^m); raise via the max_slots argument if you accept the cost.
-DEFAULT_MAX_SLOTS = 4
 
 #: The window oracle accuracy is delta' = ACCURACY_CONSTANT * delta / m^5.5.
 #: With the exact oracle the value is immaterial; it exists so an approximate
@@ -60,7 +61,6 @@ def solve_mktsp(
     k: int,
     delta: float = 0.25,
     window_solver=None,
-    max_slots: int = DEFAULT_MAX_SLOTS,
     rng_seed: int = 0,
     cost_cap: float | None = None,
 ):
@@ -76,13 +76,6 @@ def solve_mktsp(
     m = len(pairs)
     if m < 1:
         raise InputError("need at least one endpoint pair")
-    if m > max_slots:
-        raise InputError(
-            f"m={m} exceeds the state-space guard of {max_slots}; "
-            "pass max_slots explicitly to raise it"
-        )
-    if m > DEFAULT_MAX_SLOTS:
-        warnings.warn(f"running with m={m} slots; the table grows as n^m", stacklevel=2)
     pairs = [(int(s), int(t)) for s, t in pairs]
     endpoint_ids: set[int] = set()
     for s, t in pairs:
@@ -124,102 +117,66 @@ def solve_mktsp(
     sinks = tuple(p[1] for p in work_pairs)
 
     order = [int(i) for i in rotated.sweep_order]
-    rank = rotated.ranks
-    dmat = rotated.distance_matrix()
+    rank = rotated.ranks.tolist()
+    dmat = rotated.distance_matrix().tolist()
     cost_limit = None
     if cost_cap is not None:
         cost_limit = cost_cap + rotated.length_tolerance()
 
-    all_none = tuple([None] * m)
-    base_key = (all_none, all_none, 0)
+    def pending(T) -> tuple[set, float]:
+        """The endpoints a state still has to visit, and a lower bound on the
+        cost of completing it (summed over slots in index order)."""
+        need, lb = set(), 0.0
+        for l in range(m):
+            if T[l] is None:
+                need.update((sources[l], sinks[l]))
+                lb += dmat[sources[l]][sinks[l]]
+            elif T[l] != sinks[l]:
+                need.add(sinks[l])
+                lb += dmat[T[l]][sinks[l]]
+        return need, lb
+
+    base_key = (tuple([None] * m), 0)
+    if cost_limit is not None and pending(base_key[0])[1] > cost_limit:
+        return None
     tables: list[dict] = [dict() for _ in range(n + 1)]
     tables[0][base_key] = 0.0
     back: dict = {(0, base_key): None}
 
-    def completion_lb(S, T) -> float:
-        lb = 0.0
-        for l in range(m):
-            if S[l] is None:
-                lb += dmat[sources[l], sinks[l]]
-            elif T[l] != sinks[l]:
-                lb += dmat[T[l], sinks[l]]
-        return lb
-
-    def alive(col: int, S, T) -> bool:
-        """A state is dead once the sweep has passed a point it still needs."""
-        for l in range(m):
-            if S[l] is None:
-                if rank[sources[l]] <= col - 1 or rank[sinks[l]] <= col - 1:
-                    return False
-            elif T[l] != sinks[l] and rank[sinks[l]] <= col - 1:
-                return False
-        return True
-
-    def future_required(col: int, S, T) -> int:
-        """Distinct master endpoints right of the column that must still be
-        visited; each will add at least one to the count."""
-        need = set()
-        for l in range(m):
-            if S[l] is None:
-                need.add(sources[l])
-                need.add(sinks[l])
-            elif T[l] != sinks[l]:
-                need.add(sinks[l])
-        return len([p for p in need if rank[p] > col - 1])
-
     for j in range(0, n):
-        column = tables[j]
-        for key in list(column.keys()):
-            S1, T1, k1 = key
-            cost = column[key]
-            if not alive(j, S1, T1):
-                continue
-            if cost_limit is not None and cost + completion_lb(S1, T1) > cost_limit:
-                continue
-            for i in range(j + 1, n + 1):
-                w_ids = order[j:i]  # sweep positions j+1 .. i
-                w_set = set(w_ids)
-                for S2, T2, bridge in _window_configs(
-                    S1, T1, w_ids, w_set, sources, sinks, rank, i, dmat
-                ):
+        states = list(tables[j].items())
+        for i in range(j + 1, n + 1):
+            w_ids = order[j:i]  # sweep positions j+1 .. i
+            for key, cost in states:
+                T1, k1 = key
+                for S2, T2, bridge in _window_configs(T1, w_ids, j, i, sources, sinks, rank, dmat):
+                    T = tuple(T1[l] if T2[l] is None else T2[l] for l in range(m))
+                    need, lb_tail = pending(T)
+                    if any(rank[p] < i for p in need):
+                        continue  # the sweep has passed a point it still needs
+                    if cost_limit is not None and cost + bridge + lb_tail > cost_limit:
+                        continue  # over the cap at every visit count
                     lengths = solver.solve_lengths(
                         rotated, w_ids, EndpointArrays(S2, T2), delta_prime
                     )
-                    if not lengths:
-                        continue
-                    newS = tuple(
-                        S1[l] if S1[l] is not None else S2[l] for l in range(m)
-                    )
-                    newT = tuple(
-                        T2[l] if T2[l] is not None else T1[l] for l in range(m)
-                    )
-                    req = future_required(i, newS, newT)
-                    lb_tail = completion_lb(newS, newT)
                     for kw, a_len in lengths.items():
-                        if kw == 0:
-                            continue
                         kk = k1 + kw
-                        if kk + req > k:
-                            continue
+                        if kw == 0 or kk + len(need) > k:
+                            continue  # each needed endpoint adds a visit
                         total = cost + bridge + a_len
                         if cost_limit is not None and total + lb_tail > cost_limit:
                             continue
-                        nkey = (newS, newT, kk)
+                        nkey = (T, kk)
                         if total < tables[i].get(nkey, INF):
                             tables[i][nkey] = total
                             back[(i, nkey)] = (j, key, S2, T2, kw)
 
-    answer_key = (sources, sinks, k)
-    best_col, best_cost = None, INF
-    # The master entry lives at the last column; reading every column is
-    # equivalent because later windows never force extra visits.
-    if answer_key in tables[n]:
-        best_col, best_cost = n, tables[n][answer_key]
-    for col in range(n):
-        val = tables[col].get(answer_key, INF)
-        if val < best_cost:
-            best_col, best_cost = col, val
-    if best_col is None:
+    answer_key = (sinks, k)
+    # The master entry lives at the last column, which wins ties; reading
+    # every column is equivalent because later windows never force extra
+    # visits.
+    best_col = min((n, *range(n)), key=lambda col: tables[col].get(answer_key, INF))
+    if answer_key not in tables[best_col]:
         if cost_limit is not None:
             return None
         raise ConsistencyError("no feasible entry for a feasible instance")
@@ -240,8 +197,9 @@ def solve_mktsp(
     return multi, total
 
 
-def _window_configs(S1, T1, w_ids, w_set, sources, sinks, rank, col_i, dmat):
-    """Yield feasible (S2, T2, bridge_cost) window endpoint configurations.
+def _window_configs(T1, w_ids, lo, hi, sources, sinks, rank, dmat):
+    """Yield feasible (S2, T2, bridge_cost) window endpoint configurations
+    for the window w_ids, which holds the points of rank lo .. hi - 1.
 
     Per slot: untouched, start at its prescribed source inside the window, or
     bridge from the current frontier to an entry point.  Two slots may share
@@ -251,7 +209,7 @@ def _window_configs(S1, T1, w_ids, w_set, sources, sinks, rank, col_i, dmat):
     slot's path.  A one-point segment is allowed only at the slot's own sink.
     Frontier moves that strand a sink behind the sweep are skipped.
     """
-    m = len(S1)
+    m = len(T1)
     out: list[tuple] = []
 
     def fits(p, shared, used):
@@ -271,7 +229,7 @@ def _window_configs(S1, T1, w_ids, w_set, sources, sinks, rank, col_i, dmat):
         T2.pop()
 
         snk = sinks[l]
-        sink_ahead = rank[snk] > col_i - 1
+        sink_ahead = rank[snk] >= hi
 
         def exits(c):
             """Points d the segment entered at c may end at."""
@@ -282,9 +240,9 @@ def _window_configs(S1, T1, w_ids, w_set, sources, sinks, rank, col_i, dmat):
                 if d != c and (d == snk or sink_ahead) and fits(d, d == snk, used)
             ]
 
-        if S1[l] is None:
+        if T1[l] is None:
             src = sources[l]
-            if src in w_set and rank[snk] >= rank[src] and fits(src, True, used):
+            if lo <= rank[src] < hi and rank[snk] >= rank[src] and fits(src, True, used):
                 for d in exits(src):
                     S2.append(src)
                     T2.append(d)
@@ -295,7 +253,7 @@ def _window_configs(S1, T1, w_ids, w_set, sources, sinks, rank, col_i, dmat):
             for c in w_ids:
                 if not fits(c, c == snk, used):
                     continue
-                step = dmat[T1[l], c]
+                step = dmat[T1[l]][c]
                 for d in exits(c):
                     S2.append(c)
                     T2.append(d)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .io import Instance, Solution
-from .oracle import brute_ktsp, brute_mktsp, brute_orienteering, max_points_cap
+from .oracle import DEFAULT_MAX_PATHS, brute_ktsp, brute_mktsp, brute_orienteering, max_points_cap
 
 
 @dataclass
@@ -106,6 +106,9 @@ def verify_solution(instance: Instance, solution: Solution, oracle_check: bool =
 def _oracle_checks(report, instance, solution, coords, length, visited, tol):
     if instance.n > max_points_cap():
         report.add("oracle", True, f"skipped: n={instance.n} over the oracle cap")
+        return
+    if instance.kind == "mktsp" and len(instance.pairs) > DEFAULT_MAX_PATHS:
+        report.add("oracle", True, f"skipped: {len(instance.pairs)} paths over the oracle cap")
         return
     delta = instance.delta
     if instance.kind == "ktsp":

@@ -101,12 +101,13 @@ class WindowSolution:
 
 
 class ExactWindowSolver:
-    """Exact window oracle with memoized all-count solves.
+    """Exact window oracle with memoized multi-slot lengths.
 
     Lengths are cached per (host, point set, endpoint arrays); the keys hold
     the host ``PointSet`` itself, which hashes by identity, so a cached host
     stays alive as long as the solver.  The cache is write-once and holds no
     parent links: ``solve_window`` re-runs the DP to reconstruct its paths.
+    Single-slot tables are not cached: each sweep requests its table once.
     ``delta_prime`` arguments are accepted for contract compatibility and
     stored on ``last_delta_prime`` so callers can verify the plumbing.
     """
@@ -115,7 +116,6 @@ class ExactWindowSolver:
         self.point_cap = point_cap
         self.last_delta_prime: float | None = None
         self._length_memo: dict = {}
-        self._table_memo: dict = {}
 
     # -- general multi-slot interface ------------------------------------
 
@@ -164,11 +164,8 @@ class ExactWindowSolver:
         ranks = host.ranks
         pts = tuple(sorted((int(p) for p in point_ids), key=lambda p: ranks[p]))
         self._check_cap(pts)
-        key = (host, pts)
-        if key not in self._table_memo:
-            dmat = host.distance_matrix()[np.ix_(pts, pts)]
-            self._table_memo[key] = SingleSlotTable(pts, _held_karp_ranges(dmat))
-        return self._table_memo[key]
+        dmat = host.distance_matrix()[np.ix_(pts, pts)]
+        return SingleSlotTable(pts, _held_karp_ranges(dmat))
 
     def _check_cap(self, pts):
         if len(pts) > self.point_cap:

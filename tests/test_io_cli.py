@@ -149,11 +149,11 @@ def test_render_window_slabs_match_decomposition():
 
 # ---- verification ----------------------------------------------------------
 
-def make_solution_via_cli(tmp_path, kind, seed=3, n=6, extra=()):
+def make_solution_via_cli(tmp_path, kind, seed=3, n=6, gen=(), extra=()):
     inst_file = tmp_path / "inst.json"
     sol_file = tmp_path / "sol.json"
     assert main(["generate", "--kind", kind, "--seed", str(seed), "--n", str(n),
-                 "-o", str(inst_file)]) == 0
+                 *gen, "-o", str(inst_file)]) == 0
     assert main(["solve", str(inst_file), "-o", str(sol_file), *extra]) == 0
     return inst_file, sol_file
 
@@ -283,6 +283,22 @@ def test_cap_override_ends_with_its_command(tmp_path, monkeypatch, capsys):
     assert "skipped: n=11 over the oracle cap" in capsys.readouterr().out
 
 
+
+def test_cli_solves_five_segment_orienteering(tmp_path):
+    # delta = 0.2 makes m = 5 skeleton segments once k >= 6; solve checks
+    # its answer against the oracle under the overriding budget.
+    make_solution_via_cli(tmp_path, "orienteering", n=7, gen=("--delta", "0.2"),
+                          extra=("--budget", "1.6", "--oracle-check"))
+
+
+def test_oracle_check_skips_over_the_path_cap(tmp_path, capsys):
+    inst_file, sol_file = make_solution_via_cli(
+        tmp_path, "mktsp", seed=1, n=9, gen=("--m", "4"), extra=("--oracle-check",)
+    )
+    capsys.readouterr()
+    assert main(["verify", str(inst_file), str(sol_file), "--oracle-check"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert {"check": "oracle", "ok": True, "detail": "skipped: 4 paths over the oracle cap"} in checks
 def test_cli_kind_mismatch(tmp_path):
     inst_file, _ = make_solution_via_cli(tmp_path, "ktsp")
     assert main(["solve", str(inst_file), "-o", str(tmp_path / "x.json"),

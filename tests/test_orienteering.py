@@ -107,6 +107,20 @@ def test_guarantee_on_random_instances(rng):
             assert sol.visited == len(set(sol.path.visits))
 
 
+
+def test_guarantee_with_five_or_more_segments(rng):
+    # delta < 1/4 asks for m = ceil(1/delta) >= 5 skeleton segments.
+    for trial in range(12):
+        n = int(rng.integers(7, 9))
+        pts = PointSet(rng.random((n, 2)))
+        budget = float(rng.uniform(1.0, 2.0))
+        k_opt, _ = brute_orienteering(pts, 0, budget)
+        for delta in (0.2, 0.15):
+            sol = solve_orienteering(OrienteeringInstance(pts, 0, budget, delta))
+            assert sol.length <= budget + 1e-9 * max(1.0, pts.diameter())
+            assert math.ceil((1 - delta) * k_opt) <= sol.visited <= k_opt
+            assert sol.visited == len(set(sol.path.visits))
+
 def test_budget_chain_excess_split(rng):
     # Dropping the largest-excess skeleton segment of the optimal path leaves
     # a strictly shorter path on most of the points: the inequality chain the
