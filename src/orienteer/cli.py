@@ -107,9 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("instance")
     s.add_argument("-o", "--output", required=True)
     s.add_argument("--kind", default=None, help="must match the instance when given")
-    s.add_argument("--delta", type=float, default=None, help="override the instance delta")
-    s.add_argument("--k", type=int, default=None, help="override the instance k")
-    s.add_argument("--budget", type=float, default=None, help="override the instance budget")
     s.add_argument("--seed", type=int, default=0, help="seed for direction sampling")
     s.add_argument("--oracle-check", action="store_true",
                    help="re-solve with the brute-force oracle and compare")
@@ -156,13 +153,6 @@ def cmd_solve(args) -> int:
     inst = load_instance(args.instance)
     if args.kind is not None and args.kind != inst.kind:
         raise InputError(f"--kind {args.kind} does not match instance kind {inst.kind}")
-    if args.delta is not None:
-        inst.delta = args.delta
-    if args.k is not None:
-        inst.k = args.k
-    if args.budget is not None:
-        inst.budget = args.budget
-    inst.validate()
     solver = ExactWindowSolver(
         point_cap=args.cap_override if args.cap_override is not None else DEFAULT_POINT_CAP
     )

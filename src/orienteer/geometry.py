@@ -57,6 +57,7 @@ class PointSet:
         self._sweep_order: np.ndarray | None = None
         self._ranks: np.ndarray | None = None
         self._distance_matrix: np.ndarray | None = None
+        self._distance_rows: list | None = None
 
     @property
     def n(self) -> int:
@@ -104,6 +105,13 @@ class PointSet:
             dmat.setflags(write=False)
             self._distance_matrix = dmat
         return self._distance_matrix
+
+    def distance_rows(self) -> list[list[float]]:
+        """``distance_matrix`` as nested lists, built once and shared; for
+        scalar reads in Python loops.  Callers must not write to it."""
+        if self._distance_rows is None:
+            self._distance_rows = self.distance_matrix().tolist()
+        return self._distance_rows
 
     def diameter(self) -> float:
         if self.n == 1:

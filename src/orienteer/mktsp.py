@@ -14,7 +14,9 @@ untouched, starts it inside the transition's window (its prescribed source
 must lie there), or bridges from its current frontier to a window entry point
 and continues to a new frontier inside the window.  Window subproblems go
 through the exact window oracle; transitions between slots on null endpoints
-cost nothing.
+cost nothing.  The oracle keeps no memo; the sweep keeps one per window,
+from each endpoint configuration (S2, T2) to the lengths the oracle returned,
+and drops it when that window's loop ends.
 
 Only states that can still finish are stored.  Each window configuration is
 checked before its oracle call and dropped when the sweep has already passed
@@ -118,7 +120,7 @@ def solve_mktsp(
 
     order = [int(i) for i in rotated.sweep_order]
     rank = rotated.ranks.tolist()
-    dmat = rotated.distance_matrix().tolist()
+    dmat = rotated.distance_rows()
     cost_limit = None
     if cost_cap is not None:
         cost_limit = cost_cap + rotated.length_tolerance()
@@ -147,6 +149,7 @@ def solve_mktsp(
         states = list(tables[j].items())
         for i in range(j + 1, n + 1):
             w_ids = order[j:i]  # sweep positions j+1 .. i
+            memo: dict = {}  # (S2, T2) -> oracle lengths, for this window only
             for key, cost in states:
                 T1, k1 = key
                 for S2, T2, bridge in _window_configs(T1, w_ids, j, i, sources, sinks, rank, dmat):
@@ -156,9 +159,11 @@ def solve_mktsp(
                         continue  # the sweep has passed a point it still needs
                     if cost_limit is not None and cost + bridge + lb_tail > cost_limit:
                         continue  # over the cap at every visit count
-                    lengths = solver.solve_lengths(
-                        rotated, w_ids, EndpointArrays(S2, T2), delta_prime
-                    )
+                    lengths = memo.get((S2, T2))
+                    if lengths is None:  # an empty dict is a stored answer
+                        lengths = memo[S2, T2] = solver.solve_lengths(
+                            rotated, w_ids, EndpointArrays(S2, T2), delta_prime
+                        )
                     for kw, a_len in lengths.items():
                         kk = k1 + kw
                         if kw == 0 or kk + len(need) > k:

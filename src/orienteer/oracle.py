@@ -41,7 +41,13 @@ def _check_cap(n: int, m: int = 1, max_paths: int = DEFAULT_MAX_PATHS):
         raise CapacityError(f"{m} paths exceeds the oracle cap of {max_paths}")
 
 
-def _seq_length(dmat: np.ndarray, seq) -> float:
+def distances(coords: np.ndarray) -> np.ndarray:
+    """All pairwise distances of an (n, d) coordinate array."""
+    return np.linalg.norm(coords[:, None, :] - coords[None, :, :], axis=2)
+
+
+def seq_length(dmat: np.ndarray, seq) -> float:
+    """Length of the path visiting `seq` in order."""
     return float(sum(dmat[seq[i], seq[i + 1]] for i in range(len(seq) - 1)))
 
 
@@ -59,13 +65,13 @@ def brute_ktsp(points, source: int, sink: int, k: int) -> tuple[list[int], float
         raise InputError("source and sink must differ")
     if not (2 <= k <= n):
         raise InfeasibleError(f"k={k} out of range for n={n}")
-    dmat = np.linalg.norm(coords[:, None, :] - coords[None, :, :], axis=2)
+    dmat = distances(coords)
     others = [i for i in range(n) if i not in (source, sink)]
     best_len, best_seq = np.inf, None
     for interior in combinations(others, k - 2):
         for perm in permutations(interior):
             seq = (source, *perm, sink)
-            length = _seq_length(dmat, seq)
+            length = seq_length(dmat, seq)
             if length < best_len:
                 best_len, best_seq = length, list(seq)
     return best_seq, best_len
@@ -90,7 +96,7 @@ def brute_mktsp(points, pairs, k: int) -> tuple[list[list[int]], float]:
         endpoint_ids.update((s, t))
     if not (len(endpoint_ids) <= k <= n):
         raise InfeasibleError(f"k={k} infeasible with {len(endpoint_ids)} endpoints, n={n}")
-    dmat = np.linalg.norm(coords[:, None, :] - coords[None, :, :], axis=2)
+    dmat = distances(coords)
     candidates = [i for i in range(n) if i not in endpoint_ids]
     extra = k - len(endpoint_ids)
     best_len, best_paths = np.inf, None
@@ -102,7 +108,7 @@ def brute_mktsp(points, pairs, k: int) -> tuple[list[list[int]], float]:
                 seg_best, seg_path = np.inf, None
                 for perm in permutations(group):
                     seq = (s, *perm, t)
-                    length = _seq_length(dmat, seq)
+                    length = seq_length(dmat, seq)
                     if length < seg_best:
                         seg_best, seg_path = length, list(seq)
                 total += seg_best
@@ -136,7 +142,7 @@ def brute_orienteering(points, root: int, budget: float) -> tuple[int, list[int]
     _check_cap(n)
     if budget < 0:
         raise InputError("budget must be nonnegative")
-    dmat = np.linalg.norm(coords[:, None, :] - coords[None, :, :], axis=2)
+    dmat = distances(coords)
     best_count = 1
     best_path = [root]
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .io import Instance, Solution
-from .oracle import DEFAULT_MAX_PATHS, brute_ktsp, brute_mktsp, brute_orienteering, max_points_cap
+from .oracle import DEFAULT_MAX_PATHS, brute_ktsp, brute_mktsp, brute_orienteering
+from .oracle import distances, max_points_cap, seq_length
 
 
 @dataclass
@@ -30,12 +31,6 @@ class Report:
 
     def to_dict(self) -> dict:
         return {"passed": self.passed, "checks": self.checks}
-
-
-def _seq_length(coords: np.ndarray, seq) -> float:
-    return float(
-        sum(np.linalg.norm(coords[seq[i + 1]] - coords[seq[i]]) for i in range(len(seq) - 1))
-    )
 
 
 def verify_solution(instance: Instance, solution: Solution, oracle_check: bool = False) -> Report:
@@ -59,7 +54,8 @@ def verify_solution(instance: Instance, solution: Solution, oracle_check: bool =
     no_repeats = all(len(set(seq)) == len(seq) for seq in seqs)
     report.add("no repeated visits in a path", no_repeats)
 
-    length = sum(_seq_length(coords, seq) for seq in seqs)
+    dmat = distances(coords)
+    length = sum(seq_length(dmat, seq) for seq in seqs)
     tol = instance.point_set().length_tolerance()
     report.add(
         "length recomputes",

@@ -7,9 +7,10 @@ The search is one bitmask dynamic program over (slot, visited set, current
 point), with a single mode: it always keeps parent links.  Slots are
 processed in index order, each as a loop over its states bucketed by visit
 count, and transitions between slots cost nothing, since the objective is the
-plain sum of path lengths.  ``solve_lengths`` memoizes only the lengths, so
-``solve_window`` re-runs the DP to read a system back from the parent links.
-Both read distances from the host's one ``distance_matrix``.
+plain sum of path lengths.  The oracle keeps no memo: each call runs the DP,
+so ``solve_window`` reads its system back from that call's parent links, and
+a caller that repeats a query memoizes it.  The DP reads the host's shared
+``distance_rows`` by point id, with one mask bit per id.
 
 The plane sweeps only require the weaker contract "length at most
 (1 + delta_prime) times the window optimum for the requested delta_prime";
@@ -101,21 +102,20 @@ class WindowSolution:
 
 
 class ExactWindowSolver:
-    """Exact window oracle with memoized multi-slot lengths.
+    """Exact window oracle that keeps nothing but ``point_cap`` and
+    ``last_delta_prime``.
 
-    Lengths are cached per (host, point set, endpoint arrays); the keys hold
-    the host ``PointSet`` itself, which hashes by identity, so a cached host
-    stays alive as long as the solver.  The cache is write-once and holds no
-    parent links: ``solve_window`` re-runs the DP to reconstruct its paths.
-    Single-slot tables are not cached: each sweep requests its table once.
-    ``delta_prime`` arguments are accepted for contract compatibility and
-    stored on ``last_delta_prime`` so callers can verify the plumbing.
+    Every call is a pure function of its arguments: nothing a solve builds
+    outlives the call, and a caller that repeats queries (the (m,k)-TSP
+    sweep) memoizes them itself.  Distances are read from the host's shared
+    ``distance_rows`` by point id.  ``delta_prime`` arguments are accepted
+    for contract compatibility and stored on ``last_delta_prime`` so callers
+    can verify the plumbing.
     """
 
     def __init__(self, point_cap: int = DEFAULT_POINT_CAP):
         self.point_cap = point_cap
         self.last_delta_prime: float | None = None
-        self._length_memo: dict = {}
 
     # -- general multi-slot interface ------------------------------------
 
@@ -126,10 +126,10 @@ class ExactWindowSolver:
 
         Returns a dict mapping k -> length; missing keys are infeasible.
         """
-        key = self._key(host, point_ids, endpoints, delta_prime)
-        if key not in self._length_memo:
-            self._length_memo[key] = _multi_slot_dp(host, key[1], endpoints)[0]
-        return self._length_memo[key]
+        self.last_delta_prime = delta_prime
+        pts = sorted(int(p) for p in point_ids)
+        self._check_cap(pts)
+        return _multi_slot_dp(host, pts, endpoints)[0]
 
     def solve_window(
         self,
@@ -140,17 +140,11 @@ class ExactWindowSolver:
         delta_prime: float = 0.0,
     ) -> WindowSolution:
         """Cheapest path system visiting exactly k distinct points."""
-        key = self._key(host, point_ids, endpoints, delta_prime)
-        lengths, finals = _multi_slot_dp(host, key[1], endpoints)
-        self._length_memo.setdefault(key, lengths)
-        return _reconstruct(host, key[1], endpoints, lengths, finals, k)
-
-    def _key(self, host: PointSet, point_ids, endpoints: EndpointArrays, delta_prime: float):
-        """Memo key of a multi-slot query, after the cap check."""
         self.last_delta_prime = delta_prime
-        pts = tuple(sorted(int(p) for p in point_ids))
+        pts = sorted(int(p) for p in point_ids)
         self._check_cap(pts)
-        return (host, pts, endpoints.sources, endpoints.sinks)
+        lengths, finals = _multi_slot_dp(host, pts, endpoints)
+        return _reconstruct(host, endpoints, lengths, finals, k)
 
     # -- batched single-slot interface ------------------------------------
 
@@ -257,13 +251,14 @@ def _held_karp_ranges(dmat: np.ndarray) -> np.ndarray:
     return ranges
 
 
-def _multi_slot_dp(host: PointSet, pts: tuple, endpoints: EndpointArrays):
+def _multi_slot_dp(host: PointSet, pts: list, endpoints: EndpointArrays):
     """Slot-sequential bitmask DP over (slot position, closed, mask, point).
 
-    Returns (lengths, finals): lengths maps visit count -> optimal total
-    length, and finals maps visit count -> (final state, parent links) for
-    ``_reconstruct``.  Both miss every count when a slot is half null, and
-    hold only k = 0 when no slot is active.
+    ``pts`` holds the window's ids in ascending order; bit p of a mask stands
+    for point id p.  Returns (lengths, finals): lengths maps visit count ->
+    optimal total length, and finals maps visit count -> (final state, parent
+    links) for ``_reconstruct``.  Both miss every count when a slot is half
+    null, and hold only k = 0 when no slot is active.
     """
     if endpoints.has_half_null_slot():
         return {}, {}
@@ -271,13 +266,12 @@ def _multi_slot_dp(host: PointSet, pts: tuple, endpoints: EndpointArrays):
     if not active:
         return {0: 0.0}, {0: (None, {})}
 
-    index = {p: i for i, p in enumerate(pts)}
-    for p in endpoints.endpoint_ids():
-        if p not in index:
+    ends = endpoints.endpoint_ids()
+    for p in ends:
+        if p not in pts:
             raise InputError(f"endpoint {p} not inside the window")
-    dmat = host.distance_matrix()[np.ix_(pts, pts)].tolist()
-    endpoint_local = {index[p] for p in endpoints.endpoint_ids()}
-    interiors = [i for i in range(len(pts)) if i not in endpoint_local]
+    dmat = host.distance_rows()
+    interiors = [p for p in pts if p not in ends]
 
     parents: dict = {}
 
@@ -288,8 +282,8 @@ def _multi_slot_dp(host: PointSet, pts: tuple, endpoints: EndpointArrays):
 
     closed: dict = {None: 0.0}  # the empty system before the first slot
     for pos, slot in enumerate(active):
-        s = index[endpoints.sources[slot]]
-        t = index[endpoints.sinks[slot]]
+        s = endpoints.sources[slot]
+        t = endpoints.sinks[slot]
         # Open the slot at its source from every state that closed the
         # previous one, bucketed by visit count; a move adds one point, so
         # each bucket is final before it is expanded.
@@ -318,7 +312,7 @@ def _multi_slot_dp(host: PointSet, pts: tuple, endpoints: EndpointArrays):
     return lengths, finals
 
 
-def _reconstruct(host: PointSet, pts: tuple, endpoints: EndpointArrays, lengths, finals, k: int) -> WindowSolution:
+def _reconstruct(host: PointSet, endpoints: EndpointArrays, lengths, finals, k: int) -> WindowSolution:
     paths: list[Path | None] = [None] * endpoints.slots
     if k not in finals:
         return WindowSolution(INF, tuple(paths), 0)
@@ -332,5 +326,5 @@ def _reconstruct(host: PointSet, pts: tuple, endpoints: EndpointArrays, lengths,
             visits[pos].append(cur)
         key = parent
     for pos, slot in enumerate(active):
-        paths[slot] = Path(host, tuple(pts[i] for i in reversed(visits[pos])))
+        paths[slot] = Path(host, tuple(reversed(visits[pos])))
     return WindowSolution(lengths[k], tuple(paths), k)

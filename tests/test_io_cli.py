@@ -242,11 +242,12 @@ def test_cli_malformed_input_exit_code(tmp_path):
 
 
 def test_cli_infeasible_exit_code(tmp_path):
-    inst = generate(seed=3, n=5, d=2, kind="ktsp", k=3)
+    data = generate(seed=3, n=5, d=2, kind="ktsp", k=3).to_dict()
+    data["k"] = 9
     inst_file = tmp_path / "inst.json"
-    inst_file.write_text(dumps(inst))
-    assert main(["solve", str(inst_file), "-o", str(tmp_path / "out.json"),
-                 "--k", "9"]) == 2  # k > n caught by instance validation
+    inst_file.write_text(json.dumps(data))
+    out = str(tmp_path / "out.json")
+    assert main(["solve", str(inst_file), "-o", out]) == 2  # k > n caught by validation
 
 
 def test_cli_truly_infeasible_exit_code(tmp_path):
@@ -285,10 +286,14 @@ def test_cap_override_ends_with_its_command(tmp_path, monkeypatch, capsys):
 
 
 def test_cli_solves_five_segment_orienteering(tmp_path):
-    # delta = 0.2 makes m = 5 skeleton segments once k >= 6; solve checks
-    # its answer against the oracle under the overriding budget.
-    make_solution_via_cli(tmp_path, "orienteering", n=7, gen=("--delta", "0.2"),
-                          extra=("--budget", "1.6", "--oracle-check"))
+    # delta = 0.2 makes m = 5 skeleton segments once k >= 6, and the budget
+    # lets the answer visit 6 points.
+    inst_file, sol_file = make_solution_via_cli(
+        tmp_path, "orienteering", n=7, gen=("--delta", "0.2", "--budget", "1.6"),
+        extra=("--oracle-check",)
+    )
+    assert load_solution(sol_file).visited == 6
+    assert main(["verify", str(inst_file), str(sol_file), "--oracle-check"]) == 0
 
 
 def test_oracle_check_skips_over_the_path_cap(tmp_path, capsys):

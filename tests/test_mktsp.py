@@ -351,3 +351,39 @@ def test_narrow_oracle_answers_are_pinned():
             result = (round(total, 9), tuple(p.visits for p in multi.paths))
         assert result == pinned, seed
 
+
+class RecordingWindowSolver(ExactWindowSolver):
+    """The exact oracle, recording every length query it is asked."""
+
+    def __init__(self):
+        super().__init__()
+        self.queries = []
+
+    def solve_lengths(self, host, point_ids, endpoints, delta_prime=0.0):
+        self.queries.append((tuple(point_ids), endpoints.sources, endpoints.sinks))
+        return super().solve_lengths(host, point_ids, endpoints, delta_prime)
+
+
+def test_one_oracle_call_per_window_and_configuration():
+    # The sweep memoizes each window's queries, so the oracle, which keeps
+    # no memo, never sees the same query twice in one solve.
+    asked = 0
+    for seed in range(24):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(7, 10))
+        m = 2 + seed // 2 % 2
+        pts = PointSet(rng.random((n, 2)))
+        ids = [int(i) for i in rng.permutation(n)]
+        if seed % 2:
+            pairs = [(ids[j], ids[j + 1]) for j in range(m)]
+        else:
+            pairs = [(ids[2 * j], ids[2 * j + 1]) for j in range(m)]
+        k = int(rng.integers(len({p for pair in pairs for p in pair}), n + 1))
+        cap = None
+        if seed // 4 % 2:
+            cap = sum(pts.distance(s, t) for s, t in pairs) * float(rng.uniform(1.0, 2.5))
+        solver = RecordingWindowSolver()
+        solve_mktsp(pts, pairs, k, 0.5, window_solver=solver, cost_cap=cap)
+        assert len(set(solver.queries)) == len(solver.queries), seed
+        asked += len(solver.queries)
+    assert asked > 0

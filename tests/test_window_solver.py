@@ -1,11 +1,15 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from orienteer import EndpointArrays, ExactWindowSolver, PointSet, window_solver
+from orienteer import EndpointArrays, ExactWindowSolver, PointSet, solve_mktsp, window_solver
 from orienteer.errors import CapacityError, InputError
+from orienteer.generate import generate
 from orienteer.oracle import brute_ktsp, brute_mktsp
+from orienteer.orienteering import OrienteeringInstance, solve_orienteering
 from orienteer.paths import path_length
 
 
@@ -231,6 +235,34 @@ def test_fifteen_point_table_matches_collinear_closed_form(rng, solver):
                 else:
                     expected = math.inf
                 assert table.length(c, d, k) == expected
+
+
+def test_reused_solver_keeps_no_point_set(monkeypatch):
+    built = []  # a weak reference to every PointSet made
+    init = PointSet.__init__
+
+    def tracked(self, coords):
+        init(self, coords)
+        built.append(weakref.ref(self))
+
+    monkeypatch.setattr(PointSet, "__init__", tracked)
+    solver = ExactWindowSolver()
+
+    def solve_all():
+        for seed in range(25):
+            inst = generate(seed=seed, n=7, d=2, kind="orienteering", delta=0.34)
+            solve_orienteering(
+                OrienteeringInstance(inst.point_set(), inst.root, inst.budget, inst.delta),
+                window_solver=solver,
+            )
+            inst = generate(seed=seed, n=7, d=2, kind="mktsp", m=2)
+            solve_mktsp(inst.point_set(), inst.pairs, inst.k, inst.delta, window_solver=solver)
+
+    solve_all()
+    gc.collect()
+    assert len(built) > 50  # the instances and the sweeps' rotated copies
+    assert [ref for ref in built if ref() is not None] == []
+    assert solver.point_cap == window_solver.DEFAULT_POINT_CAP  # still in use
 
 
 def test_delta_prime_is_recorded(solver):
