@@ -18,6 +18,11 @@ window(p_0..p_i, source -> d, k'), one per column i at or right of the
 source, so the trivial one-window decomposition is always among the
 candidates considered.
 
+One table request serves the whole sweep: ``single_slot_table`` over all
+points yields every window's table, and reconstruction reads each winning
+window's path back from that same table with ``SingleSlotTable.path``, so a
+swapped-in oracle's table has to carry ``dmat`` and answer ``path`` too.
+
 With an exact window oracle the sweep returns the true optimum; with a
 (1 + delta')-approximate oracle run at delta' = delta/4 it returns a path of
 length at most OPT + delta * (OPT - |st|), because backward edges charge
@@ -34,7 +39,7 @@ import numpy as np
 from .errors import CapacityError, DegenerateInputError, InfeasibleError, InputError
 from .geometry import PointSet, rotate_to_axis
 from .paths import Path, path_length
-from .window_solver import EndpointArrays, ExactWindowSolver
+from .window_solver import ExactWindowSolver
 
 INF = math.inf
 
@@ -75,29 +80,30 @@ def solve_ktsp(
     delta_prime = WINDOW_ACCURACY_FRACTION * delta
 
     rotated, _ = rotate_to_axis(points, source, sink)
-    V, order, back = _fill_table(rotated, solver, source, k, delta_prime)
+    V, table, back = _fill_table(rotated, solver, source, k, delta_prime)
     end = (n - 1, int(rotated.ranks[sink]), k)
     if not math.isfinite(V[end]):
         raise InfeasibleError("no feasible path found")  # unreachable for valid input
 
-    visits = _reconstruct(rotated, solver, order, back, end, delta_prime)
+    visits = _reconstruct(table, back, end)
     path = Path(points, tuple(visits))
     return path, path_length(path)
 
 
 def _fill_table(rotated: PointSet, solver, source: int, k: int, delta_prime: float):
-    """Run the sweep; returns (value table, sweep order, backpointers).
+    """Run the sweep; returns (value table, window table, backpointers).
 
-    Points are indexed by sweep rank.  back[i, d, k'] = (j, c, kw, d') names
-    the winning candidate: the prefix column j (-1 for the empty prefix), the
-    window's entry c and visit count kw, and the prefix's end d' in column j.
-    Among equal candidates the first in (j, c, kw) order wins.
+    Points are indexed by sweep rank, and the window table's ``pts`` is the
+    sweep order.  back[i, d, k'] = (j, c, kw, d') names the winning
+    candidate: the prefix column j (-1 for the empty prefix), the window's
+    entry c and visit count kw, and the prefix's end d' in column j.  Among
+    equal candidates the first in (j, c, kw) order wins.
     """
     n = rotated.n
     order = [int(i) for i in rotated.sweep_order]
     r_s = order.index(source)
-    dmat = rotated.distance_matrix()[np.ix_(order, order)]
     full = solver.single_slot_table(rotated, order, delta_prime)
+    dmat = full.dmat
 
     V = np.full((n, n, k + 1), INF)
     back = np.full((n, n, k + 1, 4), -1)
@@ -131,17 +137,15 @@ def _fill_table(rotated: PointSet, solver, source: int, k: int, delta_prime: flo
             W2[i, i + 1 :] = bridges.min(axis=0)
             W2_arg[i, i + 1 :] = bridges.argmin(axis=0)
 
-    return V, order, back
+    return V, full, back
 
 
-def _reconstruct(rotated, solver, order, back, key, delta_prime) -> list[int]:
-    """Walk backpointers, expanding each window through the exact solver."""
+def _reconstruct(table, back, key) -> list[int]:
+    """Walk backpointers, reading each window's path back from the table."""
     i, d, kk = key
     pieces: list[tuple] = []
     while i >= 0:
         j, c, kw, d_prev = (int(x) for x in back[i, d, kk])
-        ends = EndpointArrays((order[c],), (order[d],))
-        sol = solver.solve_window(rotated, order[j + 1 : i + 1], ends, kw, delta_prime)
-        pieces.append(sol.paths[0].visits)
+        pieces.append(table.path(j + 1, i, c, d, kw))
         i, d, kk = j, d_prev, kk - kw
     return [p for piece in reversed(pieces) for p in piece]

@@ -26,7 +26,12 @@ request per solve serves all of its windows.  The pass is vectorised over all
 visited sets of one size at a time and serves every window size up to the
 cap; its dp[mask, last, start] array is kept under ``TABLE_BYTES`` by running
 the start points in chunks, so a small window is one chunk and an 18-point
-window runs one start at a time.
+window runs one start at a time.  The table keeps the array of its last
+chunk, and ``SingleSlotTable.path`` backtracks through it to read an optimal
+path of any run back, with the ties ``solve_window`` would pick; a start of
+an earlier chunk reruns the same kernel for that start alone.  So a k-TSP
+solve reads its paths from the pass that built its table and never calls
+``solve_window``.
 """
 
 from __future__ import annotations
@@ -159,7 +164,7 @@ class ExactWindowSolver:
         pts = tuple(sorted((int(p) for p in point_ids), key=lambda p: ranks[p]))
         self._check_cap(pts)
         dmat = host.distance_matrix()[np.ix_(pts, pts)]
-        return SingleSlotTable(pts, _held_karp_ranges(dmat))
+        return SingleSlotTable(pts, *_held_karp_ranges(dmat), dmat=dmat)
 
     def _check_cap(self, pts):
         if len(pts) > self.point_cap:
@@ -174,13 +179,19 @@ class SingleSlotTable:
 
     ``pts`` lists the window in sweep order and ``ranges[lo, hi]`` holds the
     table of its run pts[lo..hi]; ``window(lo, hi)`` reads that run's table.
+    The table of a whole window also keeps the window's distance matrix
+    ``dmat`` and the Held-Karp array of the pass's last chunk of starts, from
+    which ``path`` reads optimal paths back.
     """
 
-    def __init__(self, pts: tuple, ranges: np.ndarray):
+    def __init__(self, pts: tuple, ranges: np.ndarray, first: int = 0, dp=None, dmat=None):
         self.pts = pts
         self.index = {p: i for i, p in enumerate(pts)}
         self.ranges = ranges
         self.best = ranges[0, -1]
+        self.dmat = dmat
+        self._first = first
+        self._dp = dp
 
     def window(self, lo: int, hi: int) -> "SingleSlotTable":
         """Table of the window's points lo..hi (inclusive, sweep order)."""
@@ -192,6 +203,42 @@ class SingleSlotTable:
         if k < 1 or k > len(self.pts):
             return INF
         return float(self.best[k, self.index[d], self.index[c]])
+
+    def path(self, lo: int, hi: int, c: int, d: int, k: int) -> tuple | None:
+        """Point ids of one shortest pts[c] -> pts[d] path over exactly k of
+        the points pts[lo..hi] (positions in sweep order), or None if there
+        is none.  Only the table of a whole window answers.
+
+        Ties go where ``solve_window`` sends them: the visited set whose
+        sorted ids come first, then, stepping back from pts[d], the tied
+        predecessor with the largest id.  Both compare the same sums.
+        """
+        if not 1 <= k <= hi - lo + 1:
+            return None
+        if c >= self._first:
+            dp, col = self._dp, c - self._first
+        else:  # an earlier chunk held c: rerun the pass for that start alone
+            dp, col = _held_karp(self.dmat, np.array([c])), 0
+        run = (1 << (hi + 1)) - (1 << lo)
+        layer = _layers(len(self.pts))[k - 1][0]
+        masks = layer[(layer & ~run) == 0]
+        costs = dp[masks, d, col]
+        best = costs.min()
+        if best == INF:
+            return None
+        pts = self.pts
+        mask = min(
+            masks[costs == best].tolist(),
+            key=lambda m: sorted(p for r, p in enumerate(pts) if m >> r & 1),
+        )
+        walk = [d]
+        while mask != 1 << c:
+            cur = walk[-1]
+            prev = mask ^ (1 << cur)
+            ties = np.flatnonzero(dp[prev, :, col] + self.dmat[:, cur] == dp[mask, cur, col])
+            walk.append(max(ties.tolist(), key=pts.__getitem__))
+            mask = prev
+        return tuple(pts[r] for r in reversed(walk))
 
 
 #: A solve passes over one window size, and the arrays of an 18-point pass
@@ -220,35 +267,49 @@ def _layers(w: int) -> tuple:
     return tuple(out)
 
 
-def _held_karp_ranges(dmat: np.ndarray) -> np.ndarray:
-    """ranges[lo, hi, k, last, start]: shortest start -> last path over
-    exactly k of the points lo..hi (INF when lo > hi or no such path).
+def _held_karp(dmat: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """dp[mask, last, i]: shortest starts[i] -> last path that visits exactly
+    the points of mask (INF when there is none).
 
     Visited sets are processed by popcount layer; a set of size k + 1 ending
     at p has exactly one predecessor set (itself without p), so each layer
-    is one vectorised min-plus step per end point.  Each layer's optima are
-    reduced per (lowest, highest) point, and a set lies inside the run lo..hi
-    exactly when its lowest point is at least lo and its highest at most hi,
-    so a prefix-min over (lo, hi) yields every run's table from one pass.
+    is one vectorised min-plus step per end point.
+    """
+    w = dmat.shape[0]
+    dp = np.full((1 << w, w, len(starts)), INF)
+    dp[1 << starts, starts, np.arange(len(starts))] = 0.0
+    for _, _, _, _, subs in _layers(w):
+        for p, sub in enumerate(subs):
+            dp[sub | (1 << p), p] = (dp[sub] + dmat[:, p, None]).min(axis=1)
+    return dp
+
+
+def _held_karp_ranges(dmat: np.ndarray) -> tuple:
+    """(ranges, first, dp): ranges[lo, hi, k, last, start] is the shortest
+    start -> last path over exactly k of the points lo..hi (INF when lo > hi
+    or no such path), and dp is the ``_held_karp`` array of the last chunk
+    of starts, which begins at start ``first``.
+
+    Each layer's optima are reduced per (lowest, highest) point, and a set
+    lies inside the run lo..hi exactly when its lowest point is at least lo
+    and its highest at most hi, so a prefix-min over (lo, hi) yields every
+    run's table from one pass.
     """
     w = dmat.shape[0]
     ranges = np.full((w, w, w + 1, w, w), INF)
     chunk = max(1, TABLE_BYTES // (8 * (1 << w) * w))
     for first in range(0, w, chunk):
-        stop = min(first + chunk, w)
-        starts = np.arange(first, stop)
-        dp = np.full((1 << w, w, stop - first), INF)
-        dp[1 << starts, starts, starts - first] = 0.0
-        for k, (layer, cuts, low, high, subs) in enumerate(_layers(w), 1):
-            ranges[low, high, k, :, first:stop] = np.minimum.reduceat(dp[layer], cuts)
-            for p, sub in enumerate(subs):
-                dp[sub | (1 << p), p] = (dp[sub] + dmat[:, p, None]).min(axis=1)
-        del dp  # free it before the next chunk allocates its own
+        dp = None  # free the previous chunk's array before the next is allocated
+        dp = _held_karp(dmat, np.arange(first, min(first + chunk, w)))
+        for k, (layer, cuts, low, high, _) in enumerate(_layers(w), 1):
+            ranges[low, high, k, :, first : first + dp.shape[2]] = np.minimum.reduceat(
+                dp[layer], cuts
+            )
     for lo in range(w - 2, -1, -1):
         np.minimum(ranges[lo], ranges[lo + 1], out=ranges[lo])
     for hi in range(1, w):
         np.minimum(ranges[:, hi], ranges[:, hi - 1], out=ranges[:, hi])
-    return ranges
+    return ranges, first, dp
 
 
 def _multi_slot_dp(host: PointSet, pts: list, endpoints: EndpointArrays):

@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
-from orienteer import PointSet, solve_ktsp
+from orienteer import EndpointArrays, PointSet, solve_ktsp, window_solver
 from orienteer.errors import DegenerateInputError, InfeasibleError, InputError
-from orienteer.oracle import brute_ktsp
+from orienteer.oracle import brute_ktsp, seq_length
 from orienteer.paths import excess, path_length
 from orienteer.windows import decompose_path
 from orienteer.window_solver import ExactWindowSolver
@@ -163,3 +165,58 @@ def test_tie_order_picks_a_fixed_optimum(coords, k, visits):
     # exactly these visits.
     path, _ = solve_ktsp(PointSet(coords), 0, 1, k)
     assert path.visits == visits
+
+
+@pytest.mark.parametrize("one_start_per_chunk", [False, True])
+def test_table_path_is_the_window_oracle_path_tie_for_tie(rng, monkeypatch, one_start_per_chunk):
+    # With one start per chunk, every start but the last takes the path
+    # request's rerun of the pass.
+    if one_start_per_chunk:
+        monkeypatch.setattr(window_solver, "TABLE_BYTES", 1)
+    solver = ExactWindowSolver()
+    checked = 0
+    for n, d in [(3, 1), (4, 2), (5, 3), (6, 1), (7, 2), (8, 3)]:
+        pts = tie_heavy_points(rng, n, d)
+        table = solver.single_slot_table(pts, range(n))
+        for lo in range(n):
+            for hi in range(lo, n):
+                run = table.window(lo, hi).best
+                for c in range(lo, hi + 1):
+                    for e in range(lo, hi + 1):
+                        ends = EndpointArrays((table.pts[c],), (table.pts[e],))
+                        for k in range(1, hi - lo + 2):
+                            entry = run[k, e - lo, c - lo]
+                            if not math.isfinite(entry):
+                                continue
+                            visits = table.path(lo, hi, c, e, k)
+                            oracle = solver.solve_window(pts, table.pts[lo : hi + 1], ends, k)
+                            assert visits == oracle.paths[0].visits
+                            assert seq_length(pts.distance_matrix(), visits) == entry
+                            checked += 1
+    assert checked > 1000
+
+
+class CountingWindowSolver(ExactWindowSolver):
+    """The exact oracle, counting table requests and per-window solves."""
+
+    def __init__(self):
+        super().__init__()
+        self.tables = self.windows = 0
+
+    def single_slot_table(self, *args, **kwargs):
+        self.tables += 1
+        return super().single_slot_table(*args, **kwargs)
+
+    def solve_window(self, *args, **kwargs):
+        self.windows += 1
+        return super().solve_window(*args, **kwargs)
+
+
+def test_a_solve_makes_one_table_request_and_no_window_solve():
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 12))
+        pts = PointSet(rng.random((n, 1 + seed % 3)))
+        solver = CountingWindowSolver()
+        solve_ktsp(pts, 0, 1, int(rng.integers(2, n + 1)), window_solver=solver)
+        assert (solver.tables, solver.windows) == (1, 0), seed

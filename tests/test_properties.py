@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from orienteer import PointSet, solve_ktsp, solve_mktsp
+from orienteer.orienteering import OrienteeringInstance, solve_orienteering
 
 coordinate = st.one_of(
     st.integers(0, 4).map(lambda v: v / 4),  # grid values: ties and coincident points
@@ -82,3 +83,40 @@ def test_mktsp_length_is_invariant_under_relabelling_and_similarity(
     _, moved_length = solve_mktsp(PointSet(moved), moved_pairs, k)
 
     assert moved_length == pytest.approx(length * 2.0**exponent, rel=1e-9, abs=1e-12)
+
+
+@st.composite
+def orienteering_instances(draw):
+    n = draw(st.integers(3, 6))
+    d = draw(st.integers(2, 3))
+    coords = np.array(draw(st.lists(st.lists(coordinate, min_size=d, max_size=d),
+                                    min_size=n, max_size=n)))
+    budget = draw(st.integers(0, 16)) / 4  # grid values: budgets on path lengths
+    return coords, budget, draw(st.sampled_from([0.34, 0.5]))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    instance=orienteering_instances(),
+    data=st.data(),
+    angle=st.floats(0.0, 2 * np.pi),
+    shift=st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3),
+    exponent=st.integers(-4, 4),
+)
+def test_orienteering_visits_are_invariant_under_relabelling_and_similarity(
+    instance, data, angle, shift, exponent
+):
+    coords, budget, delta = instance
+    n, d = coords.shape
+    sol = solve_orienteering(OrienteeringInstance(PointSet(coords), 0, budget, delta))
+
+    perm = np.array(data.draw(st.permutations(range(n))))  # new id i is old id perm[i]
+    rotation = np.eye(d)
+    rotation[:2, :2] = [[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]]
+    moved = PointSet((coords[perm] @ rotation.T + np.array(shift[:d])) * 2.0**exponent)
+    where = np.argsort(perm)  # old id i is new id where[i]
+    scaled_budget = budget * 2.0**exponent
+    moved_sol = solve_orienteering(OrienteeringInstance(moved, int(where[0]), scaled_budget, delta))
+
+    assert moved_sol.visited == sol.visited
+    assert moved_sol.length <= scaled_budget + moved.length_tolerance()
