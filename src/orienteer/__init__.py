@@ -30,7 +30,6 @@ from .paths import (
     directed_edge_partition,
     excess,
     multipath_excess,
-    multipath_length,
     offangle_edge_mass,
     path_length,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "excess",
     "find_direction",
     "multipath_excess",
-    "multipath_length",
     "offangle_edge_mass",
     "orient_pairs",
     "path_length",

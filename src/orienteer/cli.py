@@ -8,10 +8,8 @@ cap, 5 verification failure.  Failures print a machine-readable JSON object
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
-import os
 import sys
 
 from . import __version__
@@ -29,7 +27,7 @@ from .mktsp import solve_mktsp
 from .orienteering import OrienteeringInstance, solve_orienteering
 from .render import render_svg
 from .verify import verify_solution
-from .window_solver import DEFAULT_POINT_CAP, ExactWindowSolver
+from .window_solver import ExactWindowSolver
 
 EXIT_OK = 0
 EXIT_MALFORMED = 2
@@ -41,8 +39,7 @@ EXIT_VERIFICATION = 5
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        with _oracle_cap(getattr(args, "cap_override", None)):
-            return args.func(args)
+        return args.func(args)
     except InputError as exc:
         return _fail("malformed-input", exc, EXIT_MALFORMED)
     except InfeasibleError as exc:
@@ -53,21 +50,6 @@ def main(argv=None) -> int:
         return _fail("verification", exc, EXIT_VERIFICATION)
     except OrienteerError as exc:
         return _fail("error", exc, 1)
-
-
-@contextlib.contextmanager
-def _oracle_cap(cap):
-    """Set the oracle's point cap for one command, restoring it afterwards."""
-    saved = os.environ.get("ORIENTEER_MAX_POINTS")
-    if cap is not None:
-        os.environ["ORIENTEER_MAX_POINTS"] = str(cap)
-    try:
-        yield
-    finally:
-        if saved is None:
-            os.environ.pop("ORIENTEER_MAX_POINTS", None)
-        else:
-            os.environ["ORIENTEER_MAX_POINTS"] = saved
 
 
 def _fail(kind: str, exc: Exception, code: int) -> int:
@@ -106,20 +88,16 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("solve", help="solve an instance file and write the solution")
     s.add_argument("instance")
     s.add_argument("-o", "--output", required=True)
-    s.add_argument("--kind", default=None, help="must match the instance when given")
     s.add_argument("--seed", type=int, default=0, help="seed for direction sampling")
     s.add_argument("--oracle-check", action="store_true",
                    help="re-solve with the brute-force oracle and compare")
     s.add_argument("--render-out", default=None, help="also write an SVG rendering")
-    s.add_argument("--cap-override", type=int, default=None,
-                   help="override enumeration caps (window solver and oracle)")
     s.set_defaults(func=cmd_solve)
 
     v = sub.add_parser("verify", help="re-check a solution against its instance")
     v.add_argument("instance")
     v.add_argument("solution")
     v.add_argument("--oracle-check", action="store_true")
-    v.add_argument("--cap-override", type=int, default=None)
     v.set_defaults(func=cmd_verify)
 
     r = sub.add_parser("render", help="write an SVG drawing of instance and solution")
@@ -151,11 +129,7 @@ def cmd_generate(args) -> int:
 
 def cmd_solve(args) -> int:
     inst = load_instance(args.instance)
-    if args.kind is not None and args.kind != inst.kind:
-        raise InputError(f"--kind {args.kind} does not match instance kind {inst.kind}")
-    solver = ExactWindowSolver(
-        point_cap=args.cap_override if args.cap_override is not None else DEFAULT_POINT_CAP
-    )
+    solver = ExactWindowSolver()
 
     points = inst.point_set()
     config = {

@@ -18,9 +18,6 @@ import numpy as np
 
 from .errors import DegenerateInputError, InputError
 
-#: Relative tolerance for rigid-motion distance preservation.
-RIGID_MOTION_RTOL = 1e-12
-
 #: Length comparisons allow this slack relative to the instance diameter.
 LENGTH_RTOL = 1e-9
 

@@ -36,7 +36,7 @@ import math
 
 import numpy as np
 
-from .errors import CapacityError, DegenerateInputError, InfeasibleError, InputError
+from .errors import DegenerateInputError, InfeasibleError, InputError
 from .geometry import PointSet, rotate_to_axis
 from .paths import Path, path_length
 from .window_solver import ExactWindowSolver
@@ -58,8 +58,9 @@ def solve_ktsp(
     """Shortest s-to-t path visiting at least k points, excess-approximately.
 
     Returns the reconstructed path and its length measured on the original
-    coordinates.  Raises InfeasibleError when k exceeds n and
-    DegenerateInputError when source equals sink.
+    coordinates.  Raises InfeasibleError when k exceeds n,
+    DegenerateInputError when source equals sink, and CapacityError from the
+    window solver when it cannot take the whole set, the sweep's first window.
     """
     n = points.n
     if not (0 <= source < n and 0 <= sink < n):
@@ -73,10 +74,6 @@ def solve_ktsp(
     if not delta > 0:
         raise InputError("delta must be positive")
     solver = window_solver if window_solver is not None else ExactWindowSolver()
-    cap = getattr(solver, "point_cap", None)
-    if cap is not None and n > cap:
-        # The first window spans the whole set, so the cap binds at n already.
-        raise CapacityError(f"n={n} exceeds the window solver cap of {cap}")
     delta_prime = WINDOW_ACCURACY_FRACTION * delta
 
     rotated, _ = rotate_to_axis(points, source, sink)

@@ -4,13 +4,10 @@ Everything here is deliberately naive enumeration over subsets and orderings,
 with hard caps on instance size.  These functions share no logic with the
 solver modules (they compute their own distances from raw coordinates), so
 agreement between the two routes is meaningful evidence.
-
-Caps can be tuned through the ORIENTEER_MAX_POINTS environment variable.
 """
 
 from __future__ import annotations
 
-import os
 from itertools import combinations, permutations
 
 import numpy as np
@@ -22,8 +19,7 @@ DEFAULT_MAX_PATHS = 3
 
 
 def max_points_cap() -> int:
-    value = os.environ.get("ORIENTEER_MAX_POINTS")
-    return int(value) if value else DEFAULT_MAX_POINTS
+    return DEFAULT_MAX_POINTS
 
 
 def _coords(points) -> np.ndarray:
@@ -33,12 +29,11 @@ def _coords(points) -> np.ndarray:
     return coords
 
 
-def _check_cap(n: int, m: int = 1, max_paths: int = DEFAULT_MAX_PATHS):
-    cap = max_points_cap()
-    if n > cap:
-        raise CapacityError(f"{n} points exceeds the oracle cap of {cap}")
-    if m > max_paths:
-        raise CapacityError(f"{m} paths exceeds the oracle cap of {max_paths}")
+def _check_cap(n: int, m: int = 1):
+    if n > DEFAULT_MAX_POINTS:
+        raise CapacityError(f"n={n} over the oracle cap")
+    if m > DEFAULT_MAX_PATHS:
+        raise CapacityError(f"{m} paths over the oracle cap")
 
 
 def distances(coords: np.ndarray) -> np.ndarray:

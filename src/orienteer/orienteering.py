@@ -6,8 +6,8 @@ of largest excess and re-joining its endpoints directly leaves a path that is
 shorter by that excess yet still visits a (1 - 1/m) fraction of the points.
 The multi-path solver run on the skeleton's endpoint pairs recovers such a
 path without knowing the optimum: the driver enumerates every ordered
-skeleton tuple rooted at the start point, for every k, and keeps the best
-in-budget concatenation.
+skeleton tuple rooted at the start point, for k from n downward, and returns
+the first in-budget concatenation.
 
 The number of segments is ceil(1/delta), which makes 1/m <= delta and hence
 the visit guarantee at least ceil((1 - delta) * k_opt).
@@ -84,19 +84,16 @@ def solve_orienteering(
 ) -> OrienteeringSolution:
     """Maximize visits under the budget with a (1 - delta) guarantee.
 
-    Scans every k in 1..n; for each k, tries every ordered skeleton of
+    Scans k from n down to 2; for each k, tries every ordered skeleton of
     distinct points rooted at the start (using k - 1 segments when k is
     small), asks the multi-path solver for a k-visit system over the
-    skeleton pairs, and accepts concatenations within budget.  Returns the
-    accepted path with the most visits (ties broken by length).
+    skeleton pairs, and returns the first concatenation within budget.  An
+    accepted system at k visits at least k points, so no smaller k could
+    beat it.  When nothing is accepted the answer is the root alone.
 
-    The scan runs from n downward and skips a k only when it provably cannot
-    beat the incumbent (an accepted system at k visits exactly k points), so
-    no k is abandoned on a failed attempt.  Two sound lower bounds avoid
-    solver calls for hopeless skeletons: the straight-line skeleton length,
-    and the straight-line length plus the cheapest detour forced by having
-    to visit extra points.  The scan moves on after one accepted path at a
-    given k, which cannot lower the visit count of the result.
+    Two sound lower bounds avoid solver calls for hopeless skeletons: the
+    straight-line skeleton length, and the straight-line length plus the
+    cheapest detour forced by having to visit extra points.
     """
     points = instance.points
     n = points.n
@@ -105,19 +102,6 @@ def solve_orienteering(
     budget = instance.budget
     m_full = segment_count(instance.delta)
     dmat = points.distance_matrix()
-
-    best: OrienteeringSolution | None = None
-
-    def consider(candidate: OrienteeringSolution):
-        nonlocal best
-        if best is None or (-candidate.visited, candidate.length) < (
-            -best.visited,
-            best.length,
-        ):
-            best = candidate
-
-    # k = 1 always succeeds with the trivial path at the root.
-    consider(OrienteeringSolution(Path(points, (root,)), 1, 0.0, (1, (root,))))
 
     # Certificate table: the optimal k-visit rooted path length for every k,
     # from one all-pairs window solve over the whole point set.  Any path a
@@ -167,8 +151,6 @@ def solve_orienteering(
         return skeleton_pool[m_eff]
 
     for k in range(n, 1, -1):
-        if best is not None and k <= best.visited:
-            continue  # an accept here would visit exactly k points, no gain
         if rooted_bound is not None and rooted_bound[k] > budget + tol:
             continue  # provably no k-visit rooted path fits the budget
         m_eff = min(m_full, k - 1)
@@ -188,21 +170,17 @@ def solve_orienteering(
                 oracle_delta,
                 window_solver=window_solver,
                 rng_seed=rng_seed,
-                cost_cap=budget + tol,
+                cost_cap=budget,
             )
             if result is None:
                 continue
-            multi, total = result
-            if total > budget + tol:
-                continue
-            path = concatenate_skeleton_paths(multi, skeleton)
+            path = concatenate_skeleton_paths(result[0], skeleton)
             visited = len(set(path.visits))
             if visited < accept_visits:
                 continue
             length = path_length(path)
             if length > budget + tol:
                 continue
-            consider(OrienteeringSolution(path, visited, length, (k, skeleton)))
-            break
-    assert best is not None
-    return best
+            return OrienteeringSolution(path, visited, length, (k, skeleton))
+    # k = 1 always succeeds with the trivial path at the root.
+    return OrienteeringSolution(Path(points, (root,)), 1, 0.0, (1, (root,)))

@@ -112,10 +112,6 @@ def multipath_excess(multi: MultiPath) -> float:
     return sum(excess(p) for p in multi.paths)
 
 
-def multipath_length(multi: MultiPath) -> float:
-    return sum(path_length(p) for p in multi.paths)
-
-
 def directed_edge_partition(path: Path, axis) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
     """Split edges into (forward, backward) by the sign of their axis projection.
 

@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import CapacityError
 from .io import Instance, Solution
-from .oracle import DEFAULT_MAX_PATHS, brute_ktsp, brute_mktsp, brute_orienteering
-from .oracle import distances, max_points_cap, seq_length
+from .oracle import brute_ktsp, brute_mktsp, brute_orienteering, distances, seq_length
 
 
 @dataclass
@@ -95,32 +95,29 @@ def verify_solution(instance: Instance, solution: Solution, oracle_check: bool =
                    f"visited {visited}, k {instance.k}")
 
     if oracle_check:
-        _oracle_checks(report, instance, solution, coords, length, visited, tol)
+        _oracle_checks(report, instance, coords, length, visited, tol)
     return report
 
 
-def _oracle_checks(report, instance, solution, coords, length, visited, tol):
-    if instance.n > max_points_cap():
-        report.add("oracle", True, f"skipped: n={instance.n} over the oracle cap")
-        return
-    if instance.kind == "mktsp" and len(instance.pairs) > DEFAULT_MAX_PATHS:
-        report.add("oracle", True, f"skipped: {len(instance.pairs)} paths over the oracle cap")
-        return
+def _oracle_checks(report, instance, coords, length, visited, tol):
     delta = instance.delta
-    if instance.kind == "ktsp":
-        _, opt = brute_ktsp(coords, instance.source, instance.sink, instance.k)
-        excess = opt - float(np.linalg.norm(coords[instance.sink] - coords[instance.source]))
-        bound = opt + delta * excess + tol
-        report.add("excess guarantee", length <= bound,
-                   f"length {length!r}, optimum {opt!r}, bound {bound!r}")
-    elif instance.kind == "mktsp":
-        _, opt = brute_mktsp(coords, [tuple(p) for p in instance.pairs], instance.k)
-        direct = sum(float(np.linalg.norm(coords[t] - coords[s])) for s, t in instance.pairs)
-        bound = opt + delta * (opt - direct) + tol
-        report.add("excess guarantee", length <= bound,
-                   f"length {length!r}, optimum {opt!r}, bound {bound!r}")
-    else:
-        k_opt, _ = brute_orienteering(coords, instance.root, instance.budget)
-        need = math.ceil((1.0 - delta) * k_opt)
-        report.add("visit guarantee", visited >= need,
-                   f"visited {visited}, k_opt {k_opt}, required {need}")
+    try:
+        if instance.kind == "ktsp":
+            _, opt = brute_ktsp(coords, instance.source, instance.sink, instance.k)
+            excess = opt - float(np.linalg.norm(coords[instance.sink] - coords[instance.source]))
+            bound = opt + delta * excess + tol
+            report.add("excess guarantee", length <= bound,
+                       f"length {length!r}, optimum {opt!r}, bound {bound!r}")
+        elif instance.kind == "mktsp":
+            _, opt = brute_mktsp(coords, [tuple(p) for p in instance.pairs], instance.k)
+            direct = sum(float(np.linalg.norm(coords[t] - coords[s])) for s, t in instance.pairs)
+            bound = opt + delta * (opt - direct) + tol
+            report.add("excess guarantee", length <= bound,
+                       f"length {length!r}, optimum {opt!r}, bound {bound!r}")
+        else:
+            k_opt, _ = brute_orienteering(coords, instance.root, instance.budget)
+            need = math.ceil((1.0 - delta) * k_opt)
+            report.add("visit guarantee", visited >= need,
+                       f"visited {visited}, k_opt {k_opt}, required {need}")
+    except CapacityError as exc:
+        report.add("oracle", True, f"skipped: {exc}")

@@ -1,6 +1,5 @@
 import json
 import math
-import os
 
 import numpy as np
 import pytest
@@ -9,7 +8,6 @@ from orienteer.cli import main
 from orienteer.errors import InputError
 from orienteer.generate import CLUSTER_RADIUS, generate, generate_points
 from orienteer.io import Instance, Solution, dumps, load_instance, load_solution
-from orienteer.oracle import DEFAULT_MAX_POINTS, max_points_cap
 from orienteer.render import render_svg
 from orienteer.verify import verify_solution
 from orienteer.window_solver import DEFAULT_POINT_CAP
@@ -265,24 +263,22 @@ def test_cli_capacity_exit_code(tmp_path):
     assert main(["solve", str(inst_file), "-o", str(tmp_path / "out.json")]) == 4
 
 
-def test_cap_override_reaches_orienteering(tmp_path):
-    inst = generate(seed=3, n=6, d=2, kind="orienteering")
+def test_orienteering_over_the_window_cap_exits_4(tmp_path, capsys):
+    inst = generate(seed=3, n=DEFAULT_POINT_CAP + 1, d=2, kind="orienteering")
     inst_file = tmp_path / "inst.json"
     inst_file.write_text(dumps(inst))
-    out = str(tmp_path / "out.json")
-    assert main(["solve", str(inst_file), "-o", out, "--cap-override", "5"]) == 4
+    assert main(["solve", str(inst_file), "-o", str(tmp_path / "out.json")]) == 4
+    assert json.loads(capsys.readouterr().err)["error"] == "capacity"
 
 
-def test_cap_override_ends_with_its_command(tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv("ORIENTEER_MAX_POINTS", raising=False)
+def test_oracle_check_skips_over_the_point_cap(tmp_path, capsys):
     inst_file, sol_file = make_solution_via_cli(
-        tmp_path, "ktsp", n=11, extra=("--cap-override", "11")
+        tmp_path, "ktsp", n=11, extra=("--oracle-check",)
     )
-    assert max_points_cap() == DEFAULT_MAX_POINTS
     capsys.readouterr()
     assert main(["verify", str(inst_file), str(sol_file), "--oracle-check"]) == 0
-    assert "skipped: n=11 over the oracle cap" in capsys.readouterr().out
-
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert {"check": "oracle", "ok": True, "detail": "skipped: n=11 over the oracle cap"} in checks
 
 
 def test_cli_solves_five_segment_orienteering(tmp_path):
@@ -304,10 +300,6 @@ def test_oracle_check_skips_over_the_path_cap(tmp_path, capsys):
     assert main(["verify", str(inst_file), str(sol_file), "--oracle-check"]) == 0
     checks = json.loads(capsys.readouterr().out)["checks"]
     assert {"check": "oracle", "ok": True, "detail": "skipped: 4 paths over the oracle cap"} in checks
-def test_cli_kind_mismatch(tmp_path):
-    inst_file, _ = make_solution_via_cli(tmp_path, "ktsp")
-    assert main(["solve", str(inst_file), "-o", str(tmp_path / "x.json"),
-                 "--kind", "orienteering"]) == 2
 
 
 SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
@@ -364,26 +356,17 @@ def test_malformed_file_exits_2(tmp_path, capsys, base, field, value):
 def test_one_parser_serves_calls_without_leaking_options(tmp_path, monkeypatch):
     from orienteer import cli
 
-    monkeypatch.delenv("ORIENTEER_MAX_POINTS", raising=False)
     inst_file, sol_file = make_solution_via_cli(tmp_path, "ktsp")
     seen = []
-    real_solve, real_verify = cli.solve_ktsp, cli.verify_solution
-
-    def solve_ktsp(points, source, sink, k, delta, solver):
-        seen.append(("cap", solver.point_cap, os.environ.get("ORIENTEER_MAX_POINTS")))
-        return real_solve(points, source, sink, k, delta, solver)
+    real_verify = cli.verify_solution
 
     def verify_solution(instance, solution, oracle_check=False):
-        seen.append(("oracle_check", oracle_check))
+        seen.append(oracle_check)
         return real_verify(instance, solution, oracle_check=oracle_check)
 
-    monkeypatch.setattr(cli, "solve_ktsp", solve_ktsp)
     monkeypatch.setattr(cli, "verify_solution", verify_solution)
     argv = ["solve", str(inst_file), "-o", str(sol_file)]
-    assert main(argv + ["--oracle-check", "--cap-override", "11"]) == 0
+    assert main(argv + ["--oracle-check"]) == 0
     assert main(argv) == 0
-    assert seen == [
-        ("cap", 11, "11"), ("oracle_check", True),
-        ("cap", DEFAULT_POINT_CAP, None), ("oracle_check", False),
-    ]
+    assert seen == [True, False]
     assert cli.build_parser() is cli.build_parser()

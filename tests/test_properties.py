@@ -1,4 +1,7 @@
-"""Property tests: answers do not depend on the frame or on the labels."""
+"""Property tests: answers do not depend on the frame or on the labels, and
+hold their guarantee on a budget that sits exactly on an optimal length."""
+
+import math
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from orienteer import PointSet, solve_ktsp, solve_mktsp
+from orienteer.oracle import brute_orienteering, distances, seq_length
 from orienteer.orienteering import OrienteeringInstance, solve_orienteering
 
 coordinate = st.one_of(
@@ -120,3 +124,27 @@ def test_orienteering_visits_are_invariant_under_relabelling_and_similarity(
 
     assert moved_sol.visited == sol.visited
     assert moved_sol.length <= scaled_budget + moved.length_tolerance()
+
+
+@st.composite
+def budgets_on_an_optimal_length(draw):
+    """Orienteering instances whose budget is the length of an optimal path."""
+    n = draw(st.integers(3, 7))
+    d = draw(st.sampled_from([1, 2, 3]))
+    coords = np.array(draw(st.lists(st.lists(coordinate, min_size=d, max_size=d),
+                                    min_size=n, max_size=n)))
+    _, path = brute_orienteering(coords, 0, draw(st.integers(0, 16)) / 4)
+    budget = seq_length(distances(coords), path)
+    return coords, budget, draw(st.sampled_from([0.2, 0.34, 0.5]))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(instance=budgets_on_an_optimal_length())
+def test_orienteering_keeps_its_guarantee_with_the_budget_on_an_optimal_length(instance):
+    coords, budget, delta = instance
+    points = PointSet(coords)
+    sol = solve_orienteering(OrienteeringInstance(points, 0, budget, delta))
+
+    k_opt, _ = brute_orienteering(coords, 0, budget)
+    assert sol.visited >= math.ceil((1.0 - delta) * k_opt)
+    assert sol.length <= budget + points.length_tolerance()
