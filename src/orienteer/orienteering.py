@@ -9,6 +9,12 @@ path without knowing the optimum: the driver enumerates every ordered
 skeleton tuple rooted at the start point, for k from n downward, and returns
 the first in-budget concatenation.
 
+Each segment count's skeletons form one array of rows, sorted by their
+straight-line length and cut at the budget.  One whole-set table of optimal
+rooted path lengths per (visit count, sink) skips every skeleton whose
+joined path could not fit: a skeleton ending at s_m is tried at k only when
+some rooted path to s_m over at least k points fits the budget.
+
 The number of segments is ceil(1/delta), which makes 1/m <= delta and hence
 the visit guarantee at least ceil((1 - delta) * k_opt).
 """
@@ -17,7 +23,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import chain, permutations
+
+import numpy as np
 
 from .errors import CapacityError, InputError
 from .geometry import PointSet
@@ -91,77 +99,66 @@ def solve_orienteering(
     accepted system at k visits at least k points, so no smaller k could
     beat it.  When nothing is accepted the answer is the root alone.
 
-    Two sound lower bounds avoid solver calls for hopeless skeletons: the
-    straight-line skeleton length, and the straight-line length plus the
-    cheapest detour forced by having to visit extra points.
+    The skeleton pool of each segment count is one array of rows (root,
+    tail), kept only where the straight-line skeleton length fits the budget
+    and sorted by that length.  One whole-set table of optimal rooted path
+    lengths then skips every k at which no rooted path fits, and every
+    skeleton at k whose last point no in-budget rooted path over at least k
+    points reaches.
     """
     points = instance.points
     n = points.n
     root = instance.root
-    tol = points.length_tolerance()
-    budget = instance.budget
+    limit = instance.budget + points.length_tolerance()
     m_full = segment_count(instance.delta)
     dmat = points.distance_matrix()
 
-    # Certificate table: the optimal k-visit rooted path length for every k,
-    # from one all-pairs window solve over the whole point set.  Any path a
-    # skeleton query could accept at k is at least this long, so k values
-    # with a certificate above the budget are skipped outright.  The table is
-    # requested at delta' = 0, where the oracle contract "at most (1 + delta')
-    # times the optimum" is exact, so any oracle that keeps the contract gives
-    # a sound bound without a divisor.
-    rooted_bound = None
+    # Certificate table, from one all-pairs window solve over the whole point
+    # set, requested at delta' = 0, where the oracle contract "at most
+    # (1 + delta') times the optimum" is exact: rooted[k, q] is the optimal
+    # root -> q path over exactly k points.  An accepted system at k joins
+    # into a root -> s_m walk over at least k distinct points, so it is at
+    # least reach[k, s_m], the least rooted[k', s_m] over k' >= k, and at
+    # least rooted_bound[k], the least rooted[k, q] over q.
+    rooted_bound = reach = None
     try:
         bound_solver = window_solver if window_solver is not None else ExactWindowSolver()
         table = bound_solver.single_slot_table(points, list(range(n)), delta_prime=0.0)
-        rooted_bound = table.best[:, :, table.index[root]].min(axis=1)  # [k]
+        rooted = table.best[:, [table.index[q] for q in range(n)], table.index[root]]
+        rooted_bound = rooted.min(axis=1)  # [k]
+        reach = np.minimum.accumulate(rooted[::-1])[::-1]  # [k, q]
     except CapacityError:
-        pass  # no certificate; every k goes through the skeleton scan
+        pass  # no certificate; every skeleton goes to the multi-path solver
 
     others = [i for i in range(n) if i != root]
-    skeleton_pool: dict[int, list] = {}
+    skeleton_pool: dict[int, np.ndarray] = {}
 
-    def skeletons_for(m_eff: int) -> list:
-        """(direct length, sorted forced-detour values, skeleton), ascending.
-
-        A system over the skeleton is at least `direct` long; if it must
-        visit e extra points, some extra point contributes a detour of at
-        least the e-th smallest insertion cost, so direct + detours[e-1]
-        is also a valid lower bound.
-        """
+    def skeletons_for(m_eff: int) -> np.ndarray:
+        """Rows (root, tail) whose straight-line length, a lower bound on any
+        path system over them, fits the budget; shortest first, ties in
+        ``permutations`` order."""
         if m_eff not in skeleton_pool:
-            pool = []
-            for tail in permutations(others, m_eff):
-                skeleton = (root,) + tail
-                direct = sum(dmat[skeleton[j], skeleton[j + 1]] for j in range(m_eff))
-                if direct > budget + tol:
-                    continue  # any path system is at least this long
-                ins = sorted(
-                    min(
-                        dmat[skeleton[j], p] + dmat[p, skeleton[j + 1]]
-                        - dmat[skeleton[j], skeleton[j + 1]]
-                        for j in range(m_eff)
-                    )
-                    for p in range(n)
-                    if p not in skeleton
-                )
-                pool.append((direct, ins, skeleton))
-            pool.sort(key=lambda item: item[0])
-            skeleton_pool[m_eff] = pool
+            rows = np.fromiter(
+                chain.from_iterable((root,) + tail for tail in permutations(others, m_eff)),
+                dtype=np.intp,
+            ).reshape(-1, m_eff + 1)
+            direct = np.zeros(len(rows))
+            for j in range(m_eff):  # left to right, as Python's sum adds
+                direct += dmat[rows[:, j], rows[:, j + 1]]
+            fits = direct <= limit
+            skeleton_pool[m_eff] = rows[fits][np.argsort(direct[fits], kind="stable")]
         return skeleton_pool[m_eff]
 
     for k in range(n, 1, -1):
-        if rooted_bound is not None and rooted_bound[k] > budget + tol:
+        if rooted_bound is not None and rooted_bound[k] > limit:
             continue  # provably no k-visit rooted path fits the budget
         m_eff = min(m_full, k - 1)
         oracle_delta = 1.0 / m_eff
         accept_visits = math.ceil((1.0 - 1.0 / m_eff) * k)
-        for direct, ins, skeleton in skeletons_for(m_eff):
-            extra = k - (m_eff + 1)
-            if extra > len(ins):
-                continue  # not enough points outside the skeleton
-            if extra >= 1 and direct + ins[extra - 1] > budget + tol:
-                continue
+        rows = skeletons_for(m_eff)
+        if reach is not None:
+            rows = rows[reach[k, rows[:, -1]] <= limit]
+        for skeleton in map(tuple, rows.tolist()):
             pairs = [(skeleton[j], skeleton[j + 1]) for j in range(m_eff)]
             result = solve_mktsp(
                 points,
@@ -170,7 +167,7 @@ def solve_orienteering(
                 oracle_delta,
                 window_solver=window_solver,
                 rng_seed=rng_seed,
-                cost_cap=budget,
+                cost_cap=instance.budget,
             )
             if result is None:
                 continue
@@ -179,7 +176,7 @@ def solve_orienteering(
             if visited < accept_visits:
                 continue
             length = path_length(path)
-            if length > budget + tol:
+            if length > limit:
                 continue
             return OrienteeringSolution(path, visited, length, (k, skeleton))
     # k = 1 always succeeds with the trivial path at the root.

@@ -1,4 +1,5 @@
 import math
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -11,13 +12,16 @@ from orienteer import (
     skeleton_indices,
     solve_orienteering,
 )
+from orienteer import orienteering
 from orienteer.errors import InputError
-from orienteer.generate import generate
+from orienteer.generate import DISTRIBUTIONS, generate
 from orienteer.io import Solution
+from orienteer.mktsp import solve_mktsp
 from orienteer.oracle import brute_orienteering
 from orienteer.orienteering import OrienteeringInstance, segment_count
 from orienteer.paths import excess, path_length
 from orienteer.verify import verify_solution
+from orienteer.window_solver import ExactWindowSolver
 
 
 def test_skeleton_formula_examples():
@@ -188,3 +192,169 @@ def test_coincident_skeleton_pair_is_solved():
     best, _ = brute_orienteering(pts, 0, 1.2)
     assert sol.visited == best == 3
     assert path_length(sol.path) <= 1.2
+
+
+def bound_draws():
+    """Seeded instances for the rooted path bound: n = 5-9, three deltas and
+    the generator's three distributions, then tie-heavy sets on a small
+    integer grid (coincident points included) and exactly collinear sets."""
+    sizes = {0.5: (5, 9), 0.34: (6, 8), 0.2: (7, 9)}
+    for i, (dist, delta) in enumerate(product(DISTRIBUTIONS, sizes)):
+        for n in sizes[delta]:
+            inst = generate(seed=2000 + 10 * i + n, n=n, d=2, distribution=dist, delta=delta)
+            yield OrienteeringInstance(inst.point_set(), inst.root, inst.budget, inst.delta)
+    rng = np.random.default_rng(11)
+    for delta in (0.5, 0.34, 0.2):
+        grid = PointSet(rng.integers(0, 3, size=(8, 2)).astype(float))
+        yield OrienteeringInstance(grid, 0, 3.0, delta)
+        line = PointSet([[float(x), 0.0] for x in rng.permutation(7)])
+        yield OrienteeringInstance(line, 0, 4.0, delta)
+
+
+def rooted_bounds(inst):
+    """rooted[k, q], the optimal root -> q path length over exactly k
+    points, from the exact whole-set table, and reach[k, q], the least
+    rooted[k', q] over k' >= k."""
+    n = inst.points.n
+    table = ExactWindowSolver().single_slot_table(inst.points, list(range(n)))
+    rooted, reach = {}, {}
+    for q in range(n):
+        best = math.inf
+        for k in range(n, 0, -1):
+            rooted[k, q] = table.length(inst.root, q, k)
+            best = reach[k, q] = min(best, rooted[k, q])
+    return rooted, reach
+
+
+def scanned_skeletons(inst, k, bounds):
+    """Skeletons the scan reaches at k, each with its verdict under the
+    rooted path bound (True: ruled out).  These are the skeletons whose
+    straight-line length fits the budget, and none when no rooted path over
+    exactly k points fits: the scan skips that k first."""
+    pts, root = inst.points, inst.root
+    rooted, reach = bounds
+    limit = inst.budget + pts.length_tolerance()
+    if min(rooted[k, q] for q in range(pts.n)) > limit:
+        return
+    dmat = pts.distance_matrix()
+    m = min(segment_count(inst.delta), k - 1)
+    others = [q for q in range(pts.n) if q != root]
+    for tail in permutations(others, m):
+        skeleton = (root,) + tail
+        if sum(dmat[a, b] for a, b in zip(skeleton, skeleton[1:])) <= limit:
+            yield skeleton, reach[k, skeleton[-1]] > limit
+
+
+def test_rooted_path_bound_prunes_only_hopeless_skeletons():
+    # Every skeleton the bound rules out would have come back empty from
+    # the multi-path solver under the budget cap.
+    pruned = 0
+    for inst in bound_draws():
+        found = solve_orienteering(inst).certificate[0]
+        bounds = rooted_bounds(inst)
+        for k in range(inst.points.n, max(found, 2) - 1, -1):
+            m = min(segment_count(inst.delta), k - 1)
+            for skeleton, ruled_out in scanned_skeletons(inst, k, bounds):
+                if ruled_out:
+                    pairs = list(zip(skeleton, skeleton[1:]))
+                    assert solve_mktsp(
+                        inst.points, pairs, k, 1.0 / m, cost_cap=inst.budget
+                    ) is None, (skeleton, k)
+                    pruned += 1
+    assert pruned > 100
+
+
+def test_scan_calls_the_solver_on_exactly_the_skeletons_the_bound_keeps(monkeypatch):
+    # At each k the scan passes without an answer, it tries every skeleton
+    # that the straight-line and rooted path bounds keep, and no other.
+    calls = {}
+
+    def spy(points, pairs, k, *args, **kwargs):
+        calls.setdefault(k, set()).add(tuple(p for p, _ in pairs) + (pairs[-1][1],))
+        return solve_mktsp(points, pairs, k, *args, **kwargs)
+
+    monkeypatch.setattr(orienteering, "solve_mktsp", spy)
+    tried = 0
+    for inst in bound_draws():
+        calls.clear()
+        found, winner = solve_orienteering(inst).certificate
+        bounds = rooted_bounds(inst)
+        for k in range(inst.points.n, max(found, 2) - 1, -1):
+            kept = {s for s, ruled_out in scanned_skeletons(inst, k, bounds) if not ruled_out}
+            if k > found:
+                assert calls.get(k, set()) == kept, k
+            else:
+                assert winner in calls[k] <= kept, k
+            tried += len(calls.get(k, ()))
+    assert tried > 20
+
+
+# (visited, repr(length), certificate) of generated instances: seed 1100 + i
+# is the i-th of (n, delta, distribution) over n = 5-10, three deltas and the
+# three distributions, at d = 2 with the generator's budget.
+ORIENTEERING_PIN = {
+    1100: (4, '0.6538841007352538', (4, (0, 3, 2))),
+    1101: (4, '0.08358400130809204', (4, (0, 4, 1))),
+    1102: (4, '0.6257030371175382', (4, (0, 2, 3))),
+    1103: (4, '1.0114622787636258', (4, (0, 3, 4, 2))),
+    1104: (4, '0.07990698871064328', (4, (0, 3, 2, 4))),
+    1105: (3, '0.153202323856735', (3, (0, 1, 2))),
+    1106: (4, '0.6198634979909627', (4, (0, 3, 2, 4))),
+    1107: (4, '0.06476482683113209', (4, (0, 2, 1, 3))),
+    1108: (2, '0.3194669252967231', (2, (0, 1))),
+    1109: (4, '0.9198578704084722', (4, (0, 5, 2))),
+    1110: (3, '0.05595450061100058', (3, (0, 2, 4))),
+    1111: (5, '0.2665555547292401', (5, (0, 1, 2))),
+    1112: (5, '1.3889435557202279', (5, (0, 1, 3, 5))),
+    1113: (3, '0.07877033805415931', (3, (0, 4, 2))),
+    1114: (2, '0.43526430630993784', (2, (0, 1))),
+    1115: (5, '1.3711897868027034', (5, (0, 4, 2, 3, 5))),
+    1116: (3, '0.053619878341545926', (3, (0, 4, 2))),
+    1117: (3, '0.27827561692583436', (3, (0, 1, 2))),
+    1118: (5, '1.3061562121748198', (5, (0, 6, 3))),
+    1119: (4, '0.16291470599932334', (4, (0, 4, 2))),
+    1120: (4, '0.5291167001141812', (4, (0, 2, 3))),
+    1121: (5, '1.2788242050611025', (5, (0, 3, 5, 1))),
+    1122: (4, '0.09780553192068873', (4, (0, 2, 6, 4))),
+    1123: (4, '0.2722618929690181', (4, (0, 1, 2, 3))),
+    1124: (6, '1.480676452972911', (6, (0, 2, 1, 6, 3, 5))),
+    1125: (4, '0.1471753533784133', (4, (0, 2, 6, 4))),
+    1126: (4, '0.38254464814988254', (4, (0, 1, 2, 3))),
+    1127: (7, '1.2966317393136328', (7, (0, 1, 3))),
+    1128: (4, '0.14042946280087973', (4, (0, 6, 4))),
+    1129: (4, '0.29403054708730303', (4, (0, 1, 3))),
+    1130: (6, '1.532151775168749', (6, (0, 7, 4, 1))),
+    1131: (6, '0.17365589296834996', (6, (0, 6, 1, 7))),
+    1132: (7, '0.8245760227026107', (7, (0, 1, 3, 6))),
+    1133: (7, '1.9256794817117984', (7, (0, 5, 1, 7, 6, 4))),
+    1134: (4, '0.12090033903639621', (4, (0, 6, 4, 2))),
+    1135: (7, '0.38040693123485914', (7, (0, 1, 2, 3, 4, 5))),
+    1136: (7, '1.2307734340932548', (7, (0, 7, 3))),
+    1137: (5, '0.13117967629769742', (5, (0, 4, 8))),
+    1138: (6, '0.5656464133046647', (6, (0, 1, 3))),
+    1139: (7, '1.7027780224822084', (7, (0, 4, 8, 3))),
+    1140: (6, '0.18926752747305192', (6, (0, 8, 6, 5))),
+    1141: (6, '0.5024000298396368', (6, (0, 1, 2, 4))),
+    1142: (7, '1.3793504240746521', (7, (0, 5, 1, 3, 7, 4))),
+    1143: (5, '0.1755324533367954', (5, (0, 8, 6, 2, 4))),
+    1144: (4, '0.3865037895799007', (4, (0, 1, 2, 3))),
+    1145: (9, '1.6431035093840667', (9, (0, 5, 3))),
+    1146: (5, '0.15492149729137294', (5, (0, 6, 4))),
+    1147: (7, '0.7165049823124253', (7, (0, 1, 3))),
+    1148: (9, '2.1215808273468952', (9, (0, 9, 3, 5))),
+    1149: (8, '0.29373639577385474', (8, (0, 6, 9, 3))),
+    1150: (6, '0.654437088998578', (6, (0, 1, 3, 4))),
+    1151: (9, '2.0115666206597846', (9, (0, 3, 6, 1, 4, 5))),
+    1152: (8, '0.15307197966507305', (8, (0, 4, 5, 9, 3, 6))),
+    1153: (5, '0.501599625216114', (5, (0, 2, 1, 3, 4))),
+}
+
+
+def test_orienteering_answers_are_pinned():
+    draws = product(range(5, 11), (0.5, 0.34, 0.2), DISTRIBUTIONS)
+    for seed, (n, delta, dist) in enumerate(draws, 1100):
+        inst = generate(seed=seed, n=n, d=2, distribution=dist, delta=delta)
+        sol = solve_orienteering(
+            OrienteeringInstance(inst.point_set(), inst.root, inst.budget, inst.delta)
+        )
+        assert (sol.visited, repr(sol.length), sol.certificate) == ORIENTEERING_PIN[seed], seed
