@@ -163,10 +163,12 @@ def rotation_mapping_to_axis(direction: np.ndarray) -> np.ndarray:
     Either way all distances are preserved exactly.
     """
     u = np.asarray(direction, dtype=float)
-    norm = np.linalg.norm(u)
-    if norm == 0.0:
+    scale = np.abs(u).max()
+    if scale == 0.0:
         raise DegenerateInputError("cannot rotate a zero direction onto the axis")
-    u = u / norm
+    if scale < 1e-150:  # its squares would underflow in the norm
+        u = u / scale
+    u = u / np.linalg.norm(u)
     d = u.shape[0]
     rows = [u]
     for j in range(d):

@@ -19,9 +19,10 @@ source, so the trivial one-window decomposition is always among the
 candidates considered.
 
 One table request serves the whole sweep: ``single_slot_table`` over all
-points yields every window's table, and reconstruction reads each winning
-window's path back from that same table with ``SingleSlotTable.path``, so a
-swapped-in oracle's table has to carry ``dmat`` and answer ``path`` too.
+points yields every window's lengths through ``run``, and reconstruction
+reads each winning window's path back from that same table with ``path``,
+so a swapped-in oracle's table has to answer ``run`` and ``path``, and
+nothing more.
 
 With an exact window oracle the sweep returns the true optimum; with a
 (1 + delta')-approximate oracle run at delta' = delta/4 it returns a path of
@@ -90,8 +91,8 @@ def solve_ktsp(
 def _fill_table(rotated: PointSet, solver, source: int, k: int, delta_prime: float):
     """Run the sweep; returns (value table, window table, backpointers).
 
-    Points are indexed by sweep rank, and the window table's ``pts`` is the
-    sweep order.  back[i, d, k'] = (j, c, kw, d') names the winning
+    Points are indexed by sweep rank, and so are the window table's
+    positions.  back[i, d, k'] = (j, c, kw, d') names the winning
     candidate: the prefix column j (-1 for the empty prefix), the window's
     entry c and visit count kw, and the prefix's end d' in column j.  Among
     equal candidates the first in (j, c, kw) order wins.
@@ -100,7 +101,7 @@ def _fill_table(rotated: PointSet, solver, source: int, k: int, delta_prime: flo
     order = [int(i) for i in rotated.sweep_order]
     r_s = order.index(source)
     full = solver.single_slot_table(rotated, order, delta_prime)
-    dmat = full.dmat
+    dmat = rotated.distance_matrix()[np.ix_(order, order)]
 
     V = np.full((n, n, k + 1), INF)
     back = np.full((n, n, k + 1, 4), -1)
@@ -114,7 +115,7 @@ def _fill_table(rotated: PointSet, solver, source: int, k: int, delta_prime: flo
     for i in range(r_s, n):
         for j in (-1, *range(r_s, i)):
             w = i - j
-            win = full.window(j + 1, i).best  # [kw, d, c] over ranks j+1..i
+            win = full.run(j + 1, i)  # [kw, d, c] over ranks j+1..i
             # bridge[c, k', kw] = W2[j, c, k' - kw], INF where kw > k'.
             pad = np.concatenate((np.full((w, w), INF), W2[j, j + 1 : i + 1]), axis=1)
             bridge = pad[:, w + kk[:, None] - np.arange(w + 1)]

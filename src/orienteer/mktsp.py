@@ -102,16 +102,17 @@ def solve_mktsp(
         raise CapacityError(f"n={n} exceeds the window solver cap of {cap}")
     delta_prime = window_accuracy(delta, m)
 
-    # A pair of coincident points has no direction; the sweep breaks its tie
-    # by id, so the lower id is its source.  Only the other pairs are oriented.
-    swapped = [s > t for s, t in pairs]
-    directed = [l for l, (s, t) in enumerate(pairs) if points.distance(s, t) > 0.0]
+    # Rotate so every pair of distinct points faces along the sweep axis
+    # (coincident pairs have no direction), then run each pair from the end
+    # the rotated sweep meets first.  That is the end ``orient_pairs`` picks,
+    # unless rounding in the rotated coordinates reorders two points a few
+    # ulps apart; a coincident pair's tie goes to the lower id.
+    directed = [(s, t) for s, t in pairs if points.distance(s, t) > 0.0]
     transform = Transform.identity(points.dim)
     if directed:
-        transform, flips = orient_pairs(points, [pairs[l] for l in directed], rng_seed)
-        for l, flip in zip(directed, flips):
-            swapped[l] = flip
+        transform, _ = orient_pairs(points, directed, rng_seed)
     rotated = points.transformed(transform)
+    swapped = [rotated.ranks[s] > rotated.ranks[t] for s, t in pairs]
     work_pairs = [
         (t, s) if flip else (s, t) for (s, t), flip in zip(pairs, swapped)
     ]
@@ -247,7 +248,7 @@ def _window_configs(T1, w_ids, lo, hi, sources, sinks, rank, dmat):
 
         if T1[l] is None:
             src = sources[l]
-            if lo <= rank[src] < hi and rank[snk] >= rank[src] and fits(src, True, used):
+            if lo <= rank[src] < hi and fits(src, True, used):
                 for d in exits(src):
                     S2.append(src)
                     T2.append(d)

@@ -118,14 +118,16 @@ def solve_orienteering(
     # (1 + delta') times the optimum" is exact: rooted[k, q] is the optimal
     # root -> q path over exactly k points.  An accepted system at k joins
     # into a root -> s_m walk over at least k distinct points, so it is at
-    # least reach[k, s_m], the least rooted[k', s_m] over k' >= k, and at
-    # least rooted_bound[k], the least rooted[k, q] over q.
-    rooted_bound = reach = None
+    # least reach[k, s_m], the least rooted[k', s_m] over k' >= k.  A
+    # (k + 1)-point rooted path is a k-point one plus an edge, so the least
+    # rooted path never shortens as k grows, and reach[k].min() is the least
+    # rooted[k, q] over q.
+    reach = None
     try:
         bound_solver = window_solver if window_solver is not None else ExactWindowSolver()
         table = bound_solver.single_slot_table(points, list(range(n)), delta_prime=0.0)
-        rooted = table.best[:, [table.index[q] for q in range(n)], table.index[root]]
-        rooted_bound = rooted.min(axis=1)  # [k]
+        ranks = points.ranks  # table positions follow the sweep order
+        rooted = table.run(0, n - 1)[:, ranks, ranks[root]]
         reach = np.minimum.accumulate(rooted[::-1])[::-1]  # [k, q]
     except CapacityError:
         pass  # no certificate; every skeleton goes to the multi-path solver
@@ -150,7 +152,7 @@ def solve_orienteering(
         return skeleton_pool[m_eff]
 
     for k in range(n, 1, -1):
-        if rooted_bound is not None and rooted_bound[k] > limit:
+        if reach is not None and reach[k].min() > limit:
             continue  # provably no k-visit rooted path fits the budget
         m_eff = min(m_full, k - 1)
         oracle_delta = 1.0 / m_eff

@@ -15,23 +15,25 @@ a caller that repeats a query memoizes it.  The DP reads the host's shared
 The plane sweeps only require the weaker contract "length at most
 (1 + delta_prime) times the window optimum for the requested delta_prime";
 an exact solver satisfies it for every value, so ``delta_prime`` is accepted
-everywhere and recorded but never changes a result here.  Swapping in an
-approximate implementation with the same methods leaves the sweeps intact.
+everywhere but never changes a result here.  Swapping in an approximate
+implementation with the same methods leaves the sweeps intact: the oracle
+answers ``solve_lengths``, ``solve_window`` and ``single_slot_table``, and
+the sweeps read a table only through its ``run`` and ``path`` methods.
 
 ``single_slot_table`` is a batched variant for the one-path case: one
-Held-Karp pass computes optima for *all* endpoint pairs and visit counts of a
-window and, in the same pass, of every contiguous run of the window's points
-in sweep order, which is what the k-TSP sweep consumes in bulk: one table
-request per solve serves all of its windows.  The pass is vectorised over all
-visited sets of one size at a time and serves every window size up to the
-cap; its dp[mask, last, start] array is kept under ``TABLE_BYTES`` by running
-the start points in chunks, so a small window is one chunk and an 18-point
-window runs one start at a time.  The table keeps the array of its last
-chunk, and ``SingleSlotTable.path`` backtracks through it to read an optimal
-path of any run back, with the ties ``solve_window`` would pick; a start of
-an earlier chunk reruns the same kernel for that start alone.  So a k-TSP
-solve reads its paths from the pass that built its table and never calls
-``solve_window``.
+Held-Karp pass computes optima for *all* endpoint pairs and visit counts of
+every contiguous run of a window's points in sweep order, which is what the
+k-TSP sweep consumes in bulk: one table request per solve serves all of its
+windows, each read with ``SingleSlotTable.run``.  The pass is vectorised
+over all visited sets of one size at a time and serves every window size up
+to the cap; its dp[mask, last, start] array is kept under ``TABLE_BYTES`` by
+running the start points in chunks, so a small window is one chunk and an
+18-point window runs one start at a time.  The table keeps the array of its
+last chunk, and ``SingleSlotTable.path`` backtracks through it to read an
+optimal path of any run back, with the ties ``solve_window`` would pick; a
+start of an earlier chunk reruns the same kernel for that start alone.  So a
+k-TSP solve reads its paths from the pass that built its table and never
+calls ``solve_window``.
 """
 
 from __future__ import annotations
@@ -107,20 +109,17 @@ class WindowSolution:
 
 
 class ExactWindowSolver:
-    """Exact window oracle that keeps nothing but ``point_cap`` and
-    ``last_delta_prime``.
+    """Exact window oracle that keeps no state.
 
     Every call is a pure function of its arguments: nothing a solve builds
     outlives the call, and a caller that repeats queries (the (m,k)-TSP
     sweep) memoizes them itself.  Distances are read from the host's shared
     ``distance_rows`` by point id.  ``delta_prime`` arguments are accepted
-    for contract compatibility and stored on ``last_delta_prime`` so callers
-    can verify the plumbing.
+    for contract compatibility and never change a result.
     """
 
-    def __init__(self, point_cap: int = DEFAULT_POINT_CAP):
-        self.point_cap = point_cap
-        self.last_delta_prime: float | None = None
+    #: Largest window the oracle takes; ``solve_mktsp`` reads it up front.
+    point_cap = DEFAULT_POINT_CAP
 
     # -- general multi-slot interface ------------------------------------
 
@@ -131,7 +130,6 @@ class ExactWindowSolver:
 
         Returns a dict mapping k -> length; missing keys are infeasible.
         """
-        self.last_delta_prime = delta_prime
         pts = sorted(int(p) for p in point_ids)
         self._check_cap(pts)
         return _multi_slot_dp(host, pts, endpoints)[0]
@@ -145,7 +143,6 @@ class ExactWindowSolver:
         delta_prime: float = 0.0,
     ) -> WindowSolution:
         """Cheapest path system visiting exactly k distinct points."""
-        self.last_delta_prime = delta_prime
         pts = sorted(int(p) for p in point_ids)
         self._check_cap(pts)
         lengths, finals = _multi_slot_dp(host, pts, endpoints)
@@ -154,17 +151,13 @@ class ExactWindowSolver:
     # -- batched single-slot interface ------------------------------------
 
     def single_slot_table(self, host: PointSet, point_ids, delta_prime: float = 0.0) -> "SingleSlotTable":
-        """All-pairs, all-counts optimal path lengths within one window.
-
-        The table also serves every contiguous run of the window's points in
-        the host's sweep order, through ``SingleSlotTable.window``.
-        """
-        self.last_delta_prime = delta_prime
+        """All-pairs, all-counts optimal path lengths of every contiguous
+        run of the window's points in the host's sweep order."""
         ranks = host.ranks
         pts = tuple(sorted((int(p) for p in point_ids), key=lambda p: ranks[p]))
         self._check_cap(pts)
         dmat = host.distance_matrix()[np.ix_(pts, pts)]
-        return SingleSlotTable(pts, *_held_karp_ranges(dmat), dmat=dmat)
+        return SingleSlotTable(pts, *_held_karp_ranges(dmat), dmat)
 
     def _check_cap(self, pts):
         if len(pts) > self.point_cap:
@@ -174,40 +167,31 @@ class ExactWindowSolver:
 
 
 class SingleSlotTable:
-    """Exact table: best[k][d][c] = shortest path from c to d visiting
-    exactly k points of the window (INF when impossible).
+    """Exact single-path optima of every contiguous run of a window.
 
-    ``pts`` lists the window in sweep order and ``ranges[lo, hi]`` holds the
-    table of its run pts[lo..hi]; ``window(lo, hi)`` reads that run's table.
-    The table of a whole window also keeps the window's distance matrix
-    ``dmat`` and the Held-Karp array of the pass's last chunk of starts, from
-    which ``path`` reads optimal paths back.
+    ``pts`` lists the window in sweep order, and both methods take positions
+    in that order.  The table answers two methods: ``run(lo, hi)`` gives the optimal lengths
+    of the run pts[lo..hi], and ``path`` reads one optimal path of a run back
+    from the Held-Karp array of the pass's last chunk of starts.
     """
 
-    def __init__(self, pts: tuple, ranges: np.ndarray, first: int = 0, dp=None, dmat=None):
+    def __init__(self, pts: tuple, ranges: np.ndarray, first: int, dp: np.ndarray, dmat: np.ndarray):
         self.pts = pts
-        self.index = {p: i for i, p in enumerate(pts)}
-        self.ranges = ranges
-        self.best = ranges[0, -1]
-        self.dmat = dmat
+        self._ranges = ranges
         self._first = first
         self._dp = dp
+        self._dmat = dmat
 
-    def window(self, lo: int, hi: int) -> "SingleSlotTable":
-        """Table of the window's points lo..hi (inclusive, sweep order)."""
-        run = slice(lo, hi + 1)
-        return SingleSlotTable(self.pts[run], self.ranges[run, run, : hi - lo + 2, run, run])
-
-    def length(self, c: int, d: int, k: int) -> float:
-        """Optimal c -> d path over exactly k window points."""
-        if k < 1 or k > len(self.pts):
-            return INF
-        return float(self.best[k, self.index[d], self.index[c]])
+    def run(self, lo: int, hi: int) -> np.ndarray:
+        """best[k, d, c] = shortest pts[c] -> pts[d] path over exactly k of
+        the points pts[lo..hi] (INF when impossible), for k = 0 .. hi - lo + 1,
+        with c and d counted from lo."""
+        return self._ranges[lo, hi, : hi - lo + 2, lo : hi + 1, lo : hi + 1]
 
     def path(self, lo: int, hi: int, c: int, d: int, k: int) -> tuple | None:
         """Point ids of one shortest pts[c] -> pts[d] path over exactly k of
         the points pts[lo..hi] (positions in sweep order), or None if there
-        is none.  Only the table of a whole window answers.
+        is none.
 
         Ties go where ``solve_window`` sends them: the visited set whose
         sorted ids come first, then, stepping back from pts[d], the tied
@@ -218,7 +202,7 @@ class SingleSlotTable:
         if c >= self._first:
             dp, col = self._dp, c - self._first
         else:  # an earlier chunk held c: rerun the pass for that start alone
-            dp, col = _held_karp(self.dmat, np.array([c])), 0
+            dp, col = _held_karp(self._dmat, np.array([c])), 0
         run = (1 << (hi + 1)) - (1 << lo)
         layer = _layers(len(self.pts))[k - 1][0]
         masks = layer[(layer & ~run) == 0]
@@ -235,7 +219,7 @@ class SingleSlotTable:
         while mask != 1 << c:
             cur = walk[-1]
             prev = mask ^ (1 << cur)
-            ties = np.flatnonzero(dp[prev, :, col] + self.dmat[:, cur] == dp[mask, cur, col])
+            ties = np.flatnonzero(dp[prev, :, col] + self._dmat[:, cur] == dp[mask, cur, col])
             walk.append(max(ties.tolist(), key=pts.__getitem__))
             mask = prev
         return tuple(pts[r] for r in reversed(walk))

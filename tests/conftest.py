@@ -3,6 +3,7 @@ import pytest
 
 from orienteer import PointSet, Path
 from orienteer.geometry import rotate_to_axis
+from orienteer.window_solver import ExactWindowSolver
 
 
 def random_pointset(rng, n=None, d=2, n_range=(4, 10)):
@@ -29,3 +30,27 @@ def random_rotated_path(rng, n=None, d=2, n_range=(4, 10)):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+class DeltaPrimeSpy(ExactWindowSolver):
+    """The exact oracle, recording (method, delta_prime) of every call."""
+
+    def __init__(self):
+        self.seen = []
+
+    def solve_lengths(self, host, point_ids, endpoints, delta_prime=0.0):
+        self.seen.append(("solve_lengths", delta_prime))
+        return super().solve_lengths(host, point_ids, endpoints, delta_prime)
+
+    def solve_window(self, host, point_ids, endpoints, k, delta_prime=0.0):
+        self.seen.append(("solve_window", delta_prime))
+        return super().solve_window(host, point_ids, endpoints, k, delta_prime)
+
+    def single_slot_table(self, host, point_ids, delta_prime=0.0):
+        self.seen.append(("single_slot_table", delta_prime))
+        return super().single_slot_table(host, point_ids, delta_prime)
+
+
+@pytest.fixture
+def delta_spy():
+    return DeltaPrimeSpy()

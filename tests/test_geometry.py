@@ -56,6 +56,16 @@ def test_rotate_degenerate_pair_rejected():
         rotate_to_axis(pts, 0, 1)
 
 
+def test_rotate_a_pair_one_subnormal_apart():
+    # The difference's square underflows to 0, yet the pair is distinct.
+    tiny = float(np.nextafter(0.0, 1.0))
+    pts = PointSet([[0.0, 0.0], [0.0, tiny], [1.0, 0.5]])
+    rotated, tf = rotate_to_axis(pts, 0, 1)
+    assert np.allclose(tf.rotation @ tf.rotation.T, np.eye(2), atol=0)
+    assert rotated.coords[1, 0] > rotated.coords[0, 0]
+    assert rotated.coords[1, 1] == rotated.coords[0, 1]
+
+
 def test_rotate_preserves_distances_3d(rng):
     # Rigid motion: compare full distance matrices before and after.
     for _ in range(25):

@@ -217,6 +217,26 @@ def test_cli_solves_a_coincident_skeleton_pair(tmp_path):
     assert load_solution(sol_file).visited == 3
 
 
+def test_cli_solves_a_pair_a_few_ulps_apart(tmp_path):
+    inst = Instance(
+        kind="mktsp",
+        points=[
+            [8.842571952196899, 0.8401188067097154],
+            [8.842571952196899, 0.8401188067097153],
+            [9.554624999157227, 3.627947248239929],
+            [8.698237611788644, 5.416275236284393],
+        ],
+        delta=0.5,
+        pairs=[[0, 1], [2, 3]],
+        k=4,
+    ).validate()
+    inst_file = tmp_path / "ulp.json"
+    inst_file.write_text(dumps(inst))
+    sol_file = tmp_path / "ulp_sol.json"
+    assert main(["solve", str(inst_file), "-o", str(sol_file), "--oracle-check"]) == 0
+    assert main(["verify", str(inst_file), str(sol_file), "--oracle-check"]) == 0
+
+
 def test_cli_solve_is_deterministic(tmp_path):
     a1, s1 = make_solution_via_cli(tmp_path, "orienteering", seed=12)
     sol_text_1 = s1.read_text()

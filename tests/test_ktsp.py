@@ -86,11 +86,10 @@ def test_table_values_non_increasing_in_column(rng):
             assert np.all(later <= V[i, : i + 1, :] + 1e-12)
 
 
-def test_table_plumbs_quarter_delta_to_window_oracle():
-    solver = ExactWindowSolver()
+def test_table_plumbs_quarter_delta_to_window_oracle(delta_spy):
     pts = PointSet([[0.0, 0], [0.5, 0.4], [1.0, 0]])
-    solve_ktsp(pts, 0, 2, 3, delta=0.8, window_solver=solver)
-    assert solver.last_delta_prime == pytest.approx(0.2, abs=0)
+    solve_ktsp(pts, 0, 2, 3, delta=0.8, window_solver=delta_spy)
+    assert delta_spy.seen == [("single_slot_table", 0.2)]
 
 
 def test_optimal_path_window_chain_bounds_cost(rng):
@@ -180,7 +179,7 @@ def test_table_path_is_the_window_oracle_path_tie_for_tie(rng, monkeypatch, one_
         table = solver.single_slot_table(pts, range(n))
         for lo in range(n):
             for hi in range(lo, n):
-                run = table.window(lo, hi).best
+                run = table.run(lo, hi)
                 for c in range(lo, hi + 1):
                     for e in range(lo, hi + 1):
                         ends = EndpointArrays((table.pts[c],), (table.pts[e],))

@@ -120,6 +120,40 @@ def test_matches_brute_force_when_a_pair_coincides(rng):
         assert (multi.paths[0].visits[0], multi.paths[0].visits[-1]) == (t, s)
 
 
+#: Ids 0 and 1 lie one ulp apart and form a pair; in the rotated frame,
+#: rounding puts the end that ``orient_pairs`` picks as source after its sink.
+ULP_PAIR = [
+    [8.842571952196899, 0.8401188067097154],
+    [8.842571952196899, 0.8401188067097153],
+    [9.554624999157227, 3.627947248239929],
+    [8.698237611788644, 5.416275236284393],
+]
+
+
+def test_a_pair_a_few_ulps_apart_is_solved():
+    pts = PointSet(ULP_PAIR)
+    multi, total = solve_mktsp(pts, [(0, 1), (2, 3)], 4, 0.5)
+    _, opt = brute_mktsp(pts, [(0, 1), (2, 3)], 4)
+    assert total == pytest.approx(opt, rel=1e-9)
+    assert [(p.visits[0], p.visits[-1]) for p in multi.paths] == [(0, 1), (2, 3)]
+    # Seeded draws with pair (0, 1) one to three ulps apart.
+    for seed in range(150):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(4, 8))
+        coords = rng.random((n, 2)) * 10
+        coords[1] = coords[0]
+        for _ in range(int(rng.integers(1, 4))):
+            axis = int(rng.integers(0, 2))
+            coords[1, axis] = np.nextafter(coords[1, axis], rng.choice([-np.inf, np.inf]))
+        pts = PointSet(coords)
+        pairs = [(0, 1), (2, 3)]
+        k = int(rng.integers(4, n + 1))
+        multi, total = solve_mktsp(pts, pairs, k, 0.5)
+        _, opt = brute_mktsp(pts, pairs, k)
+        assert total == pytest.approx(opt, rel=1e-9), seed
+        assert [(p.visits[0], p.visits[-1]) for p in multi.paths] == pairs
+
+
 def test_total_length_recomputes(rng):
     for _ in range(10):
         n = int(rng.integers(4, 8))
@@ -168,11 +202,12 @@ def test_five_disjoint_pairs_are_solved(rng):
     assert [p.visits for p in multi.paths] == pairs
 
 
-def test_accuracy_parameter_plumbed(rng):
-    solver = ExactWindowSolver()
+def test_accuracy_parameter_plumbed(rng, delta_spy):
     pts = PointSet(rng.random((5, 2)))
-    solve_mktsp(pts, [(0, 1), (2, 3)], 4, delta=0.8, window_solver=solver)
-    assert solver.last_delta_prime == pytest.approx(window_accuracy(0.8, 2), rel=1e-12)
+    solve_mktsp(pts, [(0, 1), (2, 3)], 4, delta=0.8, window_solver=delta_spy)
+    assert {method for method, _ in delta_spy.seen} == {"solve_lengths", "solve_window"}
+    for _, delta_prime in delta_spy.seen:
+        assert delta_prime == pytest.approx(window_accuracy(0.8, 2), rel=1e-12)
     assert window_accuracy(0.8, 2) == pytest.approx(0.8 / 2**5.5, rel=1e-12)
 
 

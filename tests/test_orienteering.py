@@ -217,13 +217,45 @@ def rooted_bounds(inst):
     rooted[k', q] over k' >= k."""
     n = inst.points.n
     table = ExactWindowSolver().single_slot_table(inst.points, list(range(n)))
+    where = {p: r for r, p in enumerate(table.pts)}
+    whole = table.run(0, n - 1)
     rooted, reach = {}, {}
     for q in range(n):
         best = math.inf
         for k in range(n, 0, -1):
-            rooted[k, q] = table.length(inst.root, q, k)
+            rooted[k, q] = float(whole[k, where[q], where[inst.root]])
             best = reach[k, q] = min(best, rooted[k, q])
     return rooted, reach
+
+
+def test_least_rooted_path_never_shortens_as_k_grows():
+    # A (k + 1)-point path is a k-point path plus one nonnegative edge, so
+    # the least rooted path over exactly k points is nondecreasing in k, and
+    # the scan's per-k skip can read it off the suffix minimum over k.
+    rng = np.random.default_rng(12)
+    for draw in range(40):
+        n = 3 + draw % 8
+        if draw % 2:
+            coords = rng.integers(0, 3, (n, 2)) / 2.0  # ties and coincident points
+        else:
+            coords = rng.random((n, 2))
+        table = ExactWindowSolver().single_slot_table(PointSet(coords), range(n))
+        whole = table.run(0, n - 1)
+        for root in range(n):
+            least = whole[1:, :, root].min(axis=1)  # k = 1 .. n
+            assert np.all(least[1:] >= least[:-1]), (draw, root)
+            reach = np.minimum.accumulate(whole[::-1, :, root])[::-1]
+            assert np.array_equal(reach[1:].min(axis=1), least), (draw, root)
+
+
+def test_rooted_bound_table_is_requested_at_zero_delta_prime(delta_spy):
+    # At delta' = 0 the oracle contract is exact, which the bound relies on.
+    inst = generate(seed=5, n=7, d=2, delta=0.34)
+    solve_orienteering(
+        OrienteeringInstance(inst.point_set(), inst.root, inst.budget, inst.delta),
+        window_solver=delta_spy,
+    )
+    assert [dp for method, dp in delta_spy.seen if method == "single_slot_table"] == [0.0]
 
 
 def scanned_skeletons(inst, k, bounds):

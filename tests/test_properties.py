@@ -1,7 +1,11 @@
-"""Property tests: answers do not depend on the frame or on the labels, and
-hold their guarantee on a budget that sits exactly on an optimal length."""
+"""Property tests: answers do not depend on the frame or on the labels,
+hold their guarantee on a budget that sits exactly on an optimal length, and
+equal brute force at d = 1, at k = n and on points a few ulps apart."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from orienteer import PointSet, solve_ktsp, solve_mktsp
-from orienteer.oracle import brute_orienteering, distances, seq_length
+from orienteer.oracle import brute_ktsp, brute_mktsp, brute_orienteering, distances, seq_length
 from orienteer.orienteering import OrienteeringInstance, solve_orienteering
 
 coordinate = st.one_of(
@@ -148,3 +152,85 @@ def test_orienteering_keeps_its_guarantee_with_the_budget_on_an_optimal_length(i
     k_opt, _ = brute_orienteering(coords, 0, budget)
     assert sol.visited >= math.ceil((1.0 - delta) * k_opt)
     assert sol.length <= budget + points.length_tolerance()
+
+
+def nudge(value: float, ulps: int) -> float:
+    """`value` moved `ulps` representable floats up (or down, if negative)."""
+    for _ in range(abs(ulps)):
+        value = float(np.nextafter(value, math.copysign(math.inf, ulps)))
+    return value
+
+
+#: ``coordinate`` moved up to two ulps either way, so besides ties and
+#: coincident points, points a few ulps apart are common.
+near_coordinate = st.tuples(coordinate, st.integers(-2, 2)).map(lambda c: nudge(*c))
+
+
+@st.composite
+def near_points(draw, n, d):
+    return np.array(draw(st.lists(st.lists(near_coordinate, min_size=d, max_size=d),
+                                  min_size=n, max_size=n)))
+
+
+@pytest.mark.parametrize("case", ["d = 1", "k = n"])
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_ktsp_equals_brute_force_at_d_1_and_at_k_n(case, data):
+    n = data.draw(st.integers(3, 7))
+    d = 1 if case == "d = 1" else data.draw(st.integers(2, 3))
+    coords = data.draw(near_points(n, d))
+    assume(not np.array_equal(coords[0], coords[1]))
+    k = data.draw(st.integers(2, n)) if case == "d = 1" else n
+    path, length = solve_ktsp(PointSet(coords), 0, 1, k)
+
+    _, opt = brute_ktsp(coords, 0, 1, k)
+    assert length == pytest.approx(opt, rel=1e-9, abs=1e-12)
+    assert (path.visits[0], path.visits[-1]) == (0, 1)
+    assert len(path.visits) >= k
+
+
+@pytest.mark.parametrize("case", ["d = 1", "k = n"])
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_mktsp_equals_brute_force_at_d_1_and_at_k_n(case, data):
+    m = data.draw(st.integers(1, 2))
+    n = data.draw(st.integers(2 * m, 7))
+    d = 1 if case == "d = 1" else data.draw(st.integers(2, 3))
+    coords = data.draw(near_points(n, d))
+    pairs = [(2 * l, 2 * l + 1) for l in range(m)]
+    k = data.draw(st.integers(2 * m, n)) if case == "d = 1" else n
+    multi, total = solve_mktsp(PointSet(coords), pairs, k)
+
+    _, opt = brute_mktsp(coords, pairs, k)
+    assert total == pytest.approx(opt, rel=1e-9, abs=1e-12)
+    assert [(p.visits[0], p.visits[-1]) for p in multi.paths] == pairs
+    assert len(multi.visited_ids()) >= k
+
+
+FAILING_PROPERTY = """
+from hypothesis import given, settings, strategies as st
+
+
+@settings(database=None)
+@given(st.integers())
+def test_fails(x):
+    assert x < 0
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_a_failing_property_does_not_stop_the_run(tmp_path):
+    # Under the project's warning filters, a failing hypothesis test fails
+    # alone: the run goes on and reports every test.
+    (tmp_path / "test_guard.py").write_text(FAILING_PROPERTY)
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(pyproject), "-p", "no:cacheprovider",
+         "-q", "test_guard.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "1 failed, 1 passed" in run.stdout

@@ -5,9 +5,16 @@ import weakref
 import numpy as np
 import pytest
 
-from orienteer import EndpointArrays, ExactWindowSolver, PointSet, solve_mktsp, window_solver
+from orienteer import (
+    EndpointArrays,
+    ExactWindowSolver,
+    PointSet,
+    solve_ktsp,
+    solve_mktsp,
+    window_solver,
+)
 from orienteer.errors import CapacityError, InputError
-from orienteer.generate import generate
+from orienteer.generate import DISTRIBUTIONS, generate
 from orienteer.oracle import brute_ktsp, brute_mktsp
 from orienteer.orienteering import OrienteeringInstance, solve_orienteering
 from orienteer.paths import path_length
@@ -72,9 +79,14 @@ def test_endpoint_outside_window_rejected(solver):
         solver.solve_window(pts, [0, 1], EndpointArrays((0,), (2,)), 2)
 
 
+class FivePointSolver(ExactWindowSolver):
+    point_cap = 5
+
+
 def test_point_cap_enforced():
     pts = PointSet(np.random.default_rng(0).random((6, 2)))
-    small = ExactWindowSolver(point_cap=5)
+    assert ExactWindowSolver.point_cap == window_solver.DEFAULT_POINT_CAP
+    small = FivePointSolver()
     with pytest.raises(CapacityError):
         small.solve_window(pts, list(range(6)), EndpointArrays((0,), (1,)), 3)
 
@@ -138,6 +150,12 @@ def test_single_slot_excess_nonnegative(rng, solver):
         assert sol.total_length >= pts.distance(0, 1) - 1e-12
 
 
+def table_length(table, c, d, k):
+    """Optimal c -> d path over exactly k of a whole table's points, by id."""
+    where = {p: r for r, p in enumerate(table.pts)}
+    return float(table.run(0, len(table.pts) - 1)[k, where[d], where[c]])
+
+
 def test_batched_table_agrees_with_per_query(rng, solver):
     # The dense all-pairs table and the per-query solver are two routes to
     # the same exact numbers.
@@ -148,7 +166,7 @@ def test_batched_table_agrees_with_per_query(rng, solver):
         for c in range(n):
             for d in range(n):
                 for k in range(1, n + 1):
-                    got = table.length(c, d, k)
+                    got = table_length(table, c, d, k)
                     ends = EndpointArrays((c,), (d,))
                     ref = solver.solve_window(pts, list(range(n)), ends, k)
                     if math.isfinite(got):
@@ -159,10 +177,12 @@ def test_batched_table_agrees_with_per_query(rng, solver):
 
 def test_table_chunked_by_start_equals_one_chunk(rng, monkeypatch):
     pts = PointSet(rng.random((9, 2)))
-    whole = ExactWindowSolver().single_slot_table(pts, range(9)).best
+    whole = ExactWindowSolver().single_slot_table(pts, range(9))
     monkeypatch.setattr(window_solver, "TABLE_BYTES", 1)  # one start per chunk
-    chunked = ExactWindowSolver().single_slot_table(pts, range(9)).best
-    assert np.array_equal(chunked, whole)
+    chunked = ExactWindowSolver().single_slot_table(pts, range(9))
+    for lo in range(9):
+        for hi in range(lo, 9):
+            assert np.array_equal(chunked.run(lo, hi), whole.run(lo, hi))
 
 
 def held_karp_by_loops(coords):
@@ -196,14 +216,14 @@ def test_every_run_of_one_pass_equals_its_own_table(rng):
         assert table.pts == tuple(int(p) for p in pts.sweep_order)
         for lo in range(n):
             for hi in range(lo, n):
-                run = table.window(lo, hi)
                 alone = ExactWindowSolver().single_slot_table(pts, table.pts[lo : hi + 1])
-                assert run.pts == alone.pts
-                assert np.array_equal(run.best, alone.best)
-                assert np.array_equal(run.ranges, alone.ranges)
+                assert alone.pts == table.pts[lo : hi + 1]
+                for a in range(hi - lo + 1):  # every sub-run of the standalone table
+                    for b in range(a, hi - lo + 1):
+                        assert np.array_equal(alone.run(a, b), table.run(lo + a, lo + b))
                 if n <= 8:
-                    loops = held_karp_by_loops(pts.coords[list(run.pts)])
-                    assert np.array_equal(run.best, loops)
+                    loops = held_karp_by_loops(pts.coords[list(alone.pts)])
+                    assert np.array_equal(table.run(lo, hi), loops)
 
 
 def test_runs_of_a_scattered_request_follow_the_sweep_order(rng):
@@ -215,7 +235,7 @@ def test_runs_of_a_scattered_request_follow_the_sweep_order(rng):
     for lo in range(len(ids)):
         for hi in range(lo, len(ids)):
             alone = ExactWindowSolver().single_slot_table(pts, ids[lo : hi + 1])
-            assert np.array_equal(table.window(lo, hi).best, alone.best)
+            assert np.array_equal(table.run(lo, hi), alone.run(0, hi - lo))
 
 
 def test_fifteen_point_table_matches_collinear_closed_form(rng, solver):
@@ -234,7 +254,7 @@ def test_fifteen_point_table_matches_collinear_closed_form(rng, solver):
                     expected = span + 2 * max(0, k - span - 1)
                 else:
                     expected = math.inf
-                assert table.length(c, d, k) == expected
+                assert table_length(table, c, d, k) == expected
 
 
 def test_reused_solver_keeps_no_point_set(monkeypatch):
@@ -265,10 +285,73 @@ def test_reused_solver_keeps_no_point_set(monkeypatch):
     assert solver.point_cap == window_solver.DEFAULT_POINT_CAP  # still in use
 
 
-def test_delta_prime_is_recorded(solver):
-    pts = PointSet([[0, 0], [1, 0]])
-    solver.solve_window(pts, [0, 1], EndpointArrays((0,), (1,)), 2, delta_prime=0.125)
-    assert solver.last_delta_prime == 0.125
+def test_delta_prime_is_recorded(solver, delta_spy):
+    # The exact oracle takes delta_prime on each method, gives the answers it
+    # gives at 0 and keeps no record of it; the spy that the sweep tests use
+    # records every value it is passed.
+    pts = PointSet([[0, 0], [1, 0], [0.5, 0.5]])
+    ends = EndpointArrays((0,), (1,))
+    ids = [0, 1, 2]
+    for oracle in (solver, delta_spy):
+        assert oracle.solve_window(pts, ids, ends, 3, delta_prime=0.125) == (
+            solver.solve_window(pts, ids, ends, 3)
+        )
+        assert oracle.solve_lengths(pts, ids, ends, 0.125) == solver.solve_lengths(pts, ids, ends)
+        table = oracle.single_slot_table(pts, ids, 0.125)
+        assert np.array_equal(table.run(0, 2), solver.single_slot_table(pts, ids).run(0, 2))
+    assert vars(solver) == {}
+    assert delta_spy.seen == [
+        ("solve_window", 0.125), ("solve_lengths", 0.125), ("single_slot_table", 0.125)
+    ]
+
+
+class RunAndPathTable:
+    """A table that answers ``run`` and ``path`` and has no other member."""
+
+    __slots__ = ("_table",)
+
+    def __init__(self, table):
+        self._table = table
+
+    def run(self, lo, hi):
+        return self._table.run(lo, hi)
+
+    def path(self, lo, hi, c, d, k):
+        return self._table.path(lo, hi, c, d, k)
+
+
+class RunAndPathSolver(ExactWindowSolver):
+    """The exact oracle, with its tables cut down to ``run`` and ``path``."""
+
+    def single_slot_table(self, host, point_ids, delta_prime=0.0):
+        return RunAndPathTable(super().single_slot_table(host, point_ids, delta_prime))
+
+
+def test_sweeps_read_a_table_only_through_run_and_path():
+    # A swapped-in table needs nothing but the two methods, and the oracle
+    # gains no state from serving a solve.
+    def ktsp(inst, oracle):
+        path, length = solve_ktsp(
+            inst.point_set(), inst.source, inst.sink, inst.k, inst.delta, window_solver=oracle
+        )
+        return path.visits, length
+
+    def orienteering(inst, oracle):
+        sol = solve_orienteering(
+            OrienteeringInstance(inst.point_set(), inst.root, inst.budget, inst.delta),
+            window_solver=oracle,
+        )
+        return sol.path.visits, sol.length, sol.certificate
+
+    solver = ExactWindowSolver()
+    for seed in range(8):
+        for dist in DISTRIBUTIONS:
+            for kind, solve in (("ktsp", ktsp), ("orienteering", orienteering)):
+                inst = generate(seed=seed, n=4 + seed, d=1 + seed % 3, distribution=dist, kind=kind)
+                default = solve(inst, None)
+                assert solve(inst, RunAndPathSolver()) == default, (seed, dist, kind)
+                assert solve(inst, solver) == default, (seed, dist, kind)
+    assert vars(ExactWindowSolver()) == vars(solver) == {}
 
 
 #: Half-grid points with a doubled point (ids 2 and 3), so many systems tie.
