@@ -37,7 +37,6 @@ from .windows import (
     Window,
     WindowDecomposition,
     decompose_path,
-    enumerate_windows,
     window_excess,
     window_points,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "decompose_path",
     "directed_edge_partition",
     "dist",
-    "enumerate_windows",
     "excess",
     "find_direction",
     "multipath_excess",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, InputError, SamplingFailureError
-from .geometry import PointSet, Transform, rotation_mapping_to_axis
+from .geometry import PointSet, Transform, rotation_mapping_to_axis, unit_vector
 
 DEFAULT_MAX_ATTEMPTS = 10000
 
@@ -114,10 +114,9 @@ def orient_pairs(points: PointSet, pairs, rng_seed: int = 0) -> tuple[Transform,
     vecs = []
     for s_id, t_id in pairs:
         v = coords[t_id] - coords[s_id]
-        nrm = np.linalg.norm(v)
-        if nrm == 0.0:
+        if not v.any():
             raise DegenerateInputError(f"pair ({s_id}, {t_id}) is degenerate")
-        vecs.append(v / nrm)
+        vecs.append(unit_vector(v))
     result = find_direction(vecs, rng_seed)
     rotation = rotation_mapping_to_axis(result.axis)
     transform = Transform(rotation, np.zeros(points.dim))

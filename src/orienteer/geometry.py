@@ -21,6 +21,39 @@ from .errors import DegenerateInputError, InputError
 #: Length comparisons allow this slack relative to the instance diameter.
 LENGTH_RTOL = 1e-9
 
+#: A difference whose largest entry is below this is scaled by that entry
+#: before its norm is taken: ``np.linalg.norm`` squares the entries, and
+#: the squares would underflow (to 0 for two points a subnormal apart).
+TINY = 1e-150
+
+
+def _norm(v: np.ndarray) -> float:
+    """Length of one difference vector; every vector but a tiny one (see
+    ``TINY``) takes ``np.linalg.norm``'s own float path."""
+    scale = np.abs(v).max()
+    if 0.0 < scale < TINY:
+        return float(scale * np.linalg.norm(v / scale))
+    return float(np.linalg.norm(v))
+
+
+def norms(diff: np.ndarray) -> np.ndarray:
+    """Lengths of the difference vectors along the last axis, each tiny one
+    (see ``TINY``) scaled first as in ``_norm``."""
+    out = np.linalg.norm(diff, axis=-1)
+    scale = np.abs(diff).max(axis=-1)
+    tiny = (scale > 0.0) & (scale < TINY)
+    out[tiny] = scale[tiny] * np.linalg.norm(diff[tiny] / scale[tiny, None], axis=-1)
+    return out
+
+
+def unit_vector(v: np.ndarray) -> np.ndarray:
+    """v / |v| for a nonzero v; a tiny v (see ``TINY``) is scaled by its
+    largest entry first, and every other v takes the plain float path."""
+    scale = np.abs(v).max()
+    if scale < TINY:
+        v = v / scale
+    return v / np.linalg.norm(v)
+
 
 def dist(p, q) -> float:
     """Euclidean distance between two points of equal dimension."""
@@ -28,7 +61,7 @@ def dist(p, q) -> float:
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape:
         raise InputError(f"dimension mismatch: {p.shape} vs {q.shape}")
-    return float(np.linalg.norm(p - q))
+    return _norm(p - q)
 
 
 def angle_to_axis(v) -> float:
@@ -92,13 +125,12 @@ class PointSet:
         return self.ranks[i] < self.ranks[j]
 
     def distance(self, i: int, j: int) -> float:
-        return float(np.linalg.norm(self.coords[i] - self.coords[j]))
+        return _norm(self.coords[i] - self.coords[j])
 
     def distance_matrix(self) -> np.ndarray:
         """All pairwise distances, computed once and shared read-only."""
         if self._distance_matrix is None:
-            diff = self.coords[:, None, :] - self.coords[None, :, :]
-            dmat = np.linalg.norm(diff, axis=2)
+            dmat = norms(self.coords[:, None, :] - self.coords[None, :, :])
             dmat.setflags(write=False)
             self._distance_matrix = dmat
         return self._distance_matrix
@@ -163,12 +195,9 @@ def rotation_mapping_to_axis(direction: np.ndarray) -> np.ndarray:
     Either way all distances are preserved exactly.
     """
     u = np.asarray(direction, dtype=float)
-    scale = np.abs(u).max()
-    if scale == 0.0:
+    if not u.any():
         raise DegenerateInputError("cannot rotate a zero direction onto the axis")
-    if scale < 1e-150:  # its squares would underflow in the norm
-        u = u / scale
-    u = u / np.linalg.norm(u)
+    u = unit_vector(u)
     d = u.shape[0]
     rows = [u]
     for j in range(d):

@@ -37,8 +37,17 @@ def _check_cap(n: int, m: int = 1):
 
 
 def distances(coords: np.ndarray) -> np.ndarray:
-    """All pairwise distances of an (n, d) coordinate array."""
-    return np.linalg.norm(coords[:, None, :] - coords[None, :, :], axis=2)
+    """All pairwise distances of an (n, d) coordinate array.
+
+    A pair whose largest coordinate difference is below 1e-150 is scaled by
+    that difference first, so that its squares do not underflow.
+    """
+    diff = coords[:, None, :] - coords[None, :, :]
+    out = np.linalg.norm(diff, axis=2)
+    scale = np.abs(diff).max(axis=2)
+    tiny = (scale > 0.0) & (scale < 1e-150)
+    out[tiny] = scale[tiny] * np.linalg.norm(diff[tiny] / scale[tiny, None], axis=1)
+    return out
 
 
 def seq_length(dmat: np.ndarray, seq) -> float:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, InputError
-from .geometry import PointSet
+from .geometry import PointSet, norms
 
 #: Length-bound constant for edges more than gamma radians off the endpoint
 #: direction: their total length is at most OFFANGLE_COEFF / gamma^2 times the
@@ -96,7 +96,7 @@ def path_length(path: Path) -> float:
     pts = path.coords()
     if pts.shape[0] < 2:
         return 0.0
-    return float(np.linalg.norm(np.diff(pts, axis=0), axis=1).sum())
+    return float(norms(np.diff(pts, axis=0)).sum())
 
 
 def excess(path: Path) -> float:

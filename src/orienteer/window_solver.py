@@ -24,21 +24,25 @@ the sweeps read a table only through its ``run`` and ``path`` methods.
 Held-Karp pass computes optima for *all* endpoint pairs and visit counts of
 every contiguous run of a window's points in sweep order, which is what the
 k-TSP sweep consumes in bulk: one table request per solve serves all of its
-windows, each read with ``SingleSlotTable.run``.  The pass is vectorised
-over all visited sets of one size at a time and serves every window size up
-to the cap; its dp[mask, last, start] array is kept under ``TABLE_BYTES`` by
-running the start points in chunks, so a small window is one chunk and an
-18-point window runs one start at a time.  The table keeps the array of its
-last chunk, and ``SingleSlotTable.path`` backtracks through it to read an
-optimal path of any run back, with the ties ``solve_window`` would pick; a
-start of an earlier chunk reruns the same kernel for that start alone.  So a
-k-TSP solve reads its paths from the pass that built its table and never
+windows, each read with ``SingleSlotTable.run``.  The pass is one
+Held-Karp kernel that stores each layer of visited sets of one size
+compactly, as dp[last, start, set] over the positions of the set's own
+points, so it carries no cell for a point outside the set.  Each layer is
+one vectorised min-plus step over the one before, taken over chunks of sets
+so that no temporary outgrows its share of ``TABLE_BYTES``.  When all the
+layers of a window fit in ``TABLE_BYTES`` (up to 16 points) the table keeps
+them, and ``SingleSlotTable.path`` backtracks through them to read an
+optimal path of any run back, with the ties ``solve_window`` would pick.
+Above that the pass runs the same kernel one start at a time and keeps no
+layer, and ``path`` reruns it for its one start over the run's points.  So a
+k-TSP solve reads its paths from its table's kernel and never
 calls ``solve_window``.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -50,8 +54,9 @@ from .paths import Path
 
 DEFAULT_POINT_CAP = 18
 
-#: Byte ceiling on the dp[mask, last, start] array of one table pass
-#: (8 * 2^w * w bytes per start point).
+#: Byte ceiling on the Held-Karp layers a table keeps (8 * k * k * C(w, k)
+#: bytes for the k-point sets of a w-point window); each temporary of a
+#: chunk of sets takes at most 1/32 of it.
 TABLE_BYTES = 64 << 20
 
 INF = math.inf
@@ -170,16 +175,18 @@ class SingleSlotTable:
     """Exact single-path optima of every contiguous run of a window.
 
     ``pts`` lists the window in sweep order, and both methods take positions
-    in that order.  The table answers two methods: ``run(lo, hi)`` gives the optimal lengths
-    of the run pts[lo..hi], and ``path`` reads one optimal path of a run back
-    from the Held-Karp array of the pass's last chunk of starts.
+    in that order.  The table answers two methods: ``run(lo, hi)`` gives the
+    optimal lengths of the run pts[lo..hi], and ``path`` reads one optimal
+    path of a run back.  When the pass's compact layers fit in
+    ``TABLE_BYTES`` (up to 16 points) the table keeps them and ``path``
+    backtracks through them; otherwise ``path`` reruns the kernel for its
+    one start over the run's points.
     """
 
-    def __init__(self, pts: tuple, ranges: np.ndarray, first: int, dp: np.ndarray, dmat: np.ndarray):
+    def __init__(self, pts: tuple, ranges: np.ndarray, layers: tuple | None, dmat: np.ndarray):
         self.pts = pts
         self._ranges = ranges
-        self._first = first
-        self._dp = dp
+        self._layers = layers
         self._dmat = dmat
 
     def run(self, lo: int, hi: int) -> np.ndarray:
@@ -197,103 +204,189 @@ class SingleSlotTable:
         sorted ids come first, then, stepping back from pts[d], the tied
         predecessor with the largest id.  Both compare the same sums.
         """
-        if not 1 <= k <= hi - lo + 1:
+        if not 1 <= k <= hi - lo + 1 or (k == 1) != (c == d):
             return None
-        if c >= self._first:
-            dp, col = self._dp, c - self._first
-        else:  # an earlier chunk held c: rerun the pass for that start alone
-            dp, col = _held_karp(self._dmat, np.array([c])), 0
-        run = (1 << (hi + 1)) - (1 << lo)
-        layer = _layers(len(self.pts))[k - 1][0]
-        masks = layer[(layer & ~run) == 0]
-        costs = dp[masks, d, col]
-        best = costs.min()
+        if k == 1:
+            return (self.pts[c],)
+        if self._layers is not None:  # the kept sets hold the start c
+            order, layers, dmat = range(len(self.pts)), self._layers, self._dmat
+            head, top = (), k - 1
+        else:  # rerun the kernel from c; its sets hold the run's other points
+            order = [r for r in range(lo, hi + 1) if r != c]
+            dmat = self._dmat[np.ix_(order, order)]
+            run = self._dmat[lo : hi + 1, lo : hi + 1]
+            layers = tuple(itertools.islice(_held_karp(run, c - lo), k - 1))
+            head, top, d = (self.pts[c],), k - 2, order.index(d)
+        ids = [self.pts[r] for r in order]
+
+        def column(here):  # the start's column for the sets of points here
+            return 0 if head else (here < c).sum(0)
+
+        where, plans = _layers(len(order))
+        rows, pos, _ = plans[top]
+        inside = rows >> d & 1 == 1
+        if not head:
+            inside &= (rows >> c & 1 == 1) & (rows & ~((1 << (hi + 1)) - (1 << lo)) == 0)
+        sel = np.flatnonzero(inside)
+        costs = layers[top][(pos[:, sel] < d).sum(0), column(pos[:, sel]), sel]
+        best = costs.min(initial=INF)
         if best == INF:
             return None
-        pts = self.pts
-        mask = min(
-            masks[costs == best].tolist(),
-            key=lambda m: sorted(p for r, p in enumerate(pts) if m >> r & 1),
+        row = min(
+            sel[costs == best].tolist(),
+            key=lambda r: sorted([ids[p] for p in pos[:, r]] + list(head)),
         )
         walk = [d]
-        while mask != 1 << c:
-            cur = walk[-1]
-            prev = mask ^ (1 << cur)
-            ties = np.flatnonzero(dp[prev, :, col] + self._dmat[:, cur] == dp[mask, cur, col])
-            walk.append(max(ties.tolist(), key=pts.__getitem__))
-            mask = prev
-        return tuple(pts[r] for r in reversed(walk))
+        for i in range(top, 0, -1):
+            cur, here = walk[-1], pos[:, row]
+            target = layers[i][np.flatnonzero(here == cur)[0], column(here), row]
+            row = where[rows[row] ^ (1 << cur)]
+            rows, pos, _ = plans[i - 1]
+            here = pos[:, row]
+            ties = here[layers[i - 1][:, column(here), row] + dmat[here, cur] == target]
+            walk.append(max(ties.tolist(), key=ids.__getitem__))
+        return head + tuple(ids[r] for r in reversed(walk))
 
 
-#: A solve passes over one window size, and the arrays of an 18-point pass
-#: take about 20 MB, so only the two latest sizes are kept.
+#: A solve passes over one window size, and the plans of 18 points take
+#: about 5 MB, so only the two latest sizes are kept.
 @functools.lru_cache(maxsize=2)
 def _layers(w: int) -> tuple:
-    """Index arrays of a w-point pass, one entry per visited-set size k >= 1.
+    """(where, plans): the index plans of a w-point pass.
 
-    Each entry holds the k-point sets sorted by (lowest, highest) point, the
-    offsets where a (lowest, highest) group begins, the group's lowest and
-    highest point, and per end point p the k-point sets without p.
+    plans[k - 1] describes the k-point sets: their masks in ascending order,
+    the points of each set by position (a (k, rows) array, ascending down
+    each column), and source[j, s], the position that start position s takes
+    when the point at position j is removed (-1 when s is j).  where[mask]
+    is the row of a mask within its own layer.
     """
-    masks = np.arange(1 << w)
-    popcount = sum((masks >> i) & 1 for i in range(w))
-    # Highest and lowest set bit of every mask (-1 for the empty set).
-    high = np.repeat(np.arange(-1, w), [1] + [1 << i for i in range(w)])
-    low = high[masks & -masks]
-    out = []
+    # Popcount and highest point of every mask (-1 for the empty set), built
+    # by doubling so that no temporary takes more than a byte a mask.
+    popcount = np.zeros(1 << w, dtype=np.int8)
+    high = np.full(1 << w, -1, dtype=np.int8)
+    for i in range(w):
+        popcount[1 << i : 2 << i] = popcount[: 1 << i] + 1
+        high[1 << i : 2 << i] = i
+    where = np.empty(1 << w, dtype=np.int32)
+    plans = []
     for k in range(1, w + 1):
-        layer = masks[popcount == k]
-        layer = layer[np.lexsort((high[layer], low[layer]))]
-        group = low[layer] * w + high[layer]
-        cuts = np.flatnonzero(np.diff(group, prepend=-1))
-        subs = [layer[(layer >> p) & 1 == 0] for p in range(w)]
-        out.append((layer, cuts, low[layer[cuts]], high[layer[cuts]], subs))
-    return tuple(out)
+        rows = np.flatnonzero(popcount == k)
+        where[rows] = np.arange(len(rows))
+        ids = np.empty((k, len(rows)), dtype=np.int8)
+        rest = rows.copy()
+        for p in range(k):  # peel the lowest point off each set
+            ids[p] = high[rest & -rest]
+            rest &= rest - 1
+        j, s = np.ogrid[:k, :k]
+        plans.append((rows, ids, np.where(s == j, -1, s - (s > j))))
+    return where, tuple(plans)
 
 
-def _held_karp(dmat: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """dp[mask, last, i]: shortest starts[i] -> last path that visits exactly
-    the points of mask (INF when there is none).
+def _chunks(rows: int, cells: int):
+    """Row slices of a layer whose temporaries of ``cells`` floats per row
+    take at most 1/32 of ``TABLE_BYTES`` each."""
+    step = max(1, (TABLE_BYTES >> 5) // (8 * cells))
+    return (slice(a, a + step) for a in range(0, rows, step))
 
-    Visited sets are processed by popcount layer; a set of size k + 1 ending
-    at p has exactly one predecessor set (itself without p), so each layer
-    is one vectorised min-plus step per end point.
+
+def _held_karp(dmat: np.ndarray, start: int | None = None):
+    """Yield the Held-Karp layers of a pass over the points of ``dmat``.
+
+    Layer k - 1 holds dp[last, start, row]: the shortest path that visits
+    exactly the k points of set ``row`` of ``_layers(w)``, starts at the
+    point in position ``start`` of that set and ends at the one in position
+    ``last`` (INF when there is none).  Only members are stored, so the
+    layer has k * k * C(w, k) cells.
+
+    With a ``start`` point every path begins there instead: the sets range
+    over the w - 1 other points, layer k - 1 holds paths over k + 1 points,
+    and it has one start column.
+
+    A set ending at position j has one predecessor set, itself without that
+    point, in which the start moves down one position when it lay above j.
+    So each layer is one min-plus step over the (last, start) columns of the
+    one before, taken over chunks of rows.
     """
     w = dmat.shape[0]
-    dp = np.full((1 << w, w, len(starts)), INF)
-    dp[1 << starts, starts, np.arange(len(starts))] = 0.0
-    for _, _, _, _, subs in _layers(w):
-        for p, sub in enumerate(subs):
-            dp[sub | (1 << p), p] = (dp[sub] + dmat[:, p, None]).min(axis=1)
-    return dp
+    if start is None:
+        layer = np.zeros((1, 1, w))
+    else:
+        others = np.delete(np.arange(w), start)
+        layer = dmat[start, others].reshape(1, 1, -1)
+        dmat = dmat[np.ix_(others, others)]
+        w -= 1
+    where, plans = _layers(w)
+    yield layer
+    for k in range(1, w):
+        rows, ids, source = plans[k]
+        if start is not None:
+            source = np.zeros((k + 1, 1), dtype=np.intp)
+        starts = layer.shape[1]
+        grown = np.empty((k + 1, source.shape[1], len(rows)))
+        for part in _chunks(len(rows), k * starts * (k + 1)):
+            ends = ids[:, part]
+            pred = where[rows[part] ^ (1 << ends.astype(np.intp))]
+            steps = np.take(layer, pred, axis=2)
+            steps += dmat[np.take(plans[k - 1][1], pred, axis=1), ends][:, None]
+            best = np.empty((starts + 1, *pred.shape))
+            np.min(steps, axis=0, out=best[:starts])
+            best[starts] = INF  # where source is -1
+            grown[:, :, part] = best[source, np.arange(k + 1)[:, None]]
+        layer = None  # free the layer before the caller reads the next
+        layer = grown
+        yield layer
 
 
 def _held_karp_ranges(dmat: np.ndarray) -> tuple:
-    """(ranges, first, dp): ranges[lo, hi, k, last, start] is the shortest
+    """(ranges, layers): ranges[lo, hi, k, last, start] is the shortest
     start -> last path over exactly k of the points lo..hi (INF when lo > hi
-    or no such path), and dp is the ``_held_karp`` array of the last chunk
-    of starts, which begins at start ``first``.
+    or no such path), and layers are the ``_held_karp`` layers of the pass,
+    or None when together they would take more than ``TABLE_BYTES``.  Then
+    the pass runs one start at a time and keeps no layer.
 
-    Each layer's optima are reduced per (lowest, highest) point, and a set
-    lies inside the run lo..hi exactly when its lowest point is at least lo
-    and its highest at most hi, so a prefix-min over (lo, hi) yields every
-    run's table from one pass.
+    Each layer's cells are folded by ``np.minimum.at`` into the entry of
+    their set's (lowest, highest) point and their (last, start) points; a
+    set lies inside the run lo..hi exactly when its lowest point is at
+    least lo and its highest at most hi, so a prefix-min over (lo, hi)
+    yields every run's table from one pass.
     """
     w = dmat.shape[0]
     ranges = np.full((w, w, w + 1, w, w), INF)
-    chunk = max(1, TABLE_BYTES // (8 * (1 << w) * w))
-    for first in range(0, w, chunk):
-        dp = None  # free the previous chunk's array before the next is allocated
-        dp = _held_karp(dmat, np.arange(first, min(first + chunk, w)))
-        for k, (layer, cuts, low, high, _) in enumerate(_layers(w), 1):
-            ranges[low, high, k, :, first : first + dp.shape[2]] = np.minimum.reduceat(
-                dp[layer], cuts
-            )
+    points = np.arange(w)
+    if 8 * sum(k * k * math.comb(w, k) for k in range(1, w + 1)) <= TABLE_BYTES:
+        layers = _fold(ranges, _held_karp(dmat), points, None, keep=True)
+    else:
+        layers = None
+        ranges[points, points, 1, points, points] = 0.0  # the one-point paths
+        for c in range(w) if w > 1 else ():  # a lone point has no other points
+            _fold(ranges, _held_karp(dmat, c), np.delete(points, c), c, keep=False)
     for lo in range(w - 2, -1, -1):
         np.minimum(ranges[lo], ranges[lo + 1], out=ranges[lo])
     for hi in range(1, w):
         np.minimum(ranges[:, hi], ranges[:, hi - 1], out=ranges[:, hi])
-    return ranges, first, dp
+    return ranges, layers
+
+
+def _fold(ranges: np.ndarray, layers, order: np.ndarray, start: int | None, keep: bool):
+    """Fold each ``_held_karp`` layer into ranges, whose points are those of
+    ``order`` by position (and ``start``, when the sets leave it out);
+    return the layers as a tuple when ``keep`` is set."""
+    w = ranges.shape[0]
+    plans = _layers(len(order))[1]
+    kept = []
+    for i, layer in enumerate(layers):
+        ids = plans[i][1]
+        for part in _chunks(ids.shape[1], ids.shape[0] ** 2):
+            pos = order[ids[:, part]]
+            low, high, firsts = pos[0], pos[-1], pos
+            if start is not None:
+                low, high, firsts = np.minimum(low, start), np.maximum(high, start), start
+            at = ((low * w + high) * (w + 1) + len(pos) + (start is not None)) * w
+            at = (at + pos[:, None]) * w + firsts
+            np.minimum.at(ranges.reshape(-1), at.reshape(-1), layer[:, :, part].reshape(-1))
+        if keep:
+            kept.append(layer)
+    return tuple(kept)
 
 
 def _multi_slot_dp(host: PointSet, pts: list, endpoints: EndpointArrays):

@@ -57,16 +57,6 @@ class WindowDecomposition:
     monotone_segments: tuple[Path, ...]
 
 
-def enumerate_windows(points: PointSet) -> list[Window]:
-    """All n*(n+1)/2 windows over anchor pairs a <= b in sweep order."""
-    order = points.sweep_order
-    out = []
-    for i in range(points.n):
-        for j in range(i, points.n):
-            out.append(Window(points, int(order[i]), int(order[j])))
-    return out
-
-
 def window_points(window: Window, points: PointSet) -> list[int]:
     """Ids contained in the window, inclusive on both anchors, in sweep order."""
     r = points.ranks

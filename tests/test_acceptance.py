@@ -16,7 +16,6 @@ from orienteer import (
     PointSet,
     decompose_path,
     directed_edge_partition,
-    enumerate_windows,
     excess,
     find_direction,
     offangle_edge_mass,
@@ -34,6 +33,7 @@ from orienteer.io import load_solution
 from orienteer.oracle import brute_ktsp, brute_mktsp, brute_orienteering
 from orienteer.orienteering import OrienteeringInstance
 from orienteer.paths import edge_set_length, path_length
+from test_windows import enumerate_windows
 
 SLACK = 1e-12  # rounding slack for the exact-inequality suite
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from orienteer import InputError, PointSet, angle_to_axis, dist, rotate_to_axis
+from orienteer import InputError, Path, PointSet, angle_to_axis, dist, excess, oracle, path_length, rotate_to_axis
 from orienteer.errors import DegenerateInputError
 
 
@@ -64,6 +64,37 @@ def test_rotate_a_pair_one_subnormal_apart():
     assert np.allclose(tf.rotation @ tf.rotation.T, np.eye(2), atol=0)
     assert rotated.coords[1, 0] > rotated.coords[0, 0]
     assert rotated.coords[1, 1] == rotated.coords[0, 1]
+
+
+def test_distances_of_a_pair_one_subnormal_apart():
+    # np.linalg.norm reads 0.0 here; np.hypot does not underflow.
+    pts = PointSet([[0, 0], [5e-324, 0], [1, 0], [2, 0.5]])
+    dmat = pts.distance_matrix()
+    assert pts.distance(0, 1) == dmat[0, 1] == dmat[1, 0] == np.hypot(5e-324, 0) == 5e-324
+    assert dist((0, 0), (5e-324, 0)) == 5e-324
+    assert np.array_equal(oracle.distances(pts.coords), dmat)
+    assert path_length(Path(pts, (0, 1))) == 5e-324
+    assert excess(Path(pts, (0, 1, 2))) == 0.0
+    # A pair 1e-160 apart on both axes: its squares are subnormal.
+    small = PointSet([[0, 0, 0], [1e-160, -1e-160, 0]])
+    assert small.distance(0, 1) == pytest.approx(np.hypot(1e-160, 1e-160), rel=1e-15)
+    assert small.distance_matrix()[0, 1] == small.distance(0, 1)
+    # Every pair that is not tiny keeps np.linalg.norm's value, bit for bit.
+    rng = np.random.default_rng(0)
+    for coords in (pts.coords, rng.random((9, 3)), rng.integers(0, 3, (9, 2)) / 2.0):
+        mixed = PointSet(coords)
+        plain = np.linalg.norm(coords[:, None] - coords[None], axis=2)
+        keep = np.abs(coords[:, None] - coords[None]).max(axis=2) >= 1e-150
+        assert np.array_equal(mixed.distance_matrix()[keep], plain[keep])
+        steps = np.diff(coords, axis=0)
+        scale = np.abs(steps).max(axis=1)
+        if not ((0 < scale) & (scale < 1e-150)).any():
+            edges = np.linalg.norm(steps, axis=1)
+            assert path_length(Path(mixed, tuple(range(len(coords))))) == float(edges.sum())
+        assert all(
+            mixed.distance(i, j) == np.linalg.norm(coords[i] - coords[j])
+            for i in range(len(coords)) for j in range(len(coords)) if keep[i, j]
+        )
 
 
 def test_rotate_preserves_distances_3d(rng):

@@ -166,17 +166,18 @@ def test_tie_order_picks_a_fixed_optimum(coords, k, visits):
     assert path.visits == visits
 
 
-@pytest.mark.parametrize("one_start_per_chunk", [False, True])
-def test_table_path_is_the_window_oracle_path_tie_for_tie(rng, monkeypatch, one_start_per_chunk):
-    # With one start per chunk, every start but the last takes the path
-    # request's rerun of the pass.
-    if one_start_per_chunk:
+@pytest.mark.parametrize("no_room", [False, True])
+def test_table_path_is_the_window_oracle_path_tie_for_tie(rng, monkeypatch, no_room):
+    # With no room the table keeps no layer, and every path request reruns
+    # the kernel for its one start over one-set chunks.
+    if no_room:
         monkeypatch.setattr(window_solver, "TABLE_BYTES", 1)
     solver = ExactWindowSolver()
     checked = 0
     for n, d in [(3, 1), (4, 2), (5, 3), (6, 1), (7, 2), (8, 3)]:
         pts = tie_heavy_points(rng, n, d)
         table = solver.single_slot_table(pts, range(n))
+        assert (table._layers is None) == no_room
         for lo in range(n):
             for hi in range(lo, n):
                 run = table.run(lo, hi)

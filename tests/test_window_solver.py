@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -176,13 +177,22 @@ def test_batched_table_agrees_with_per_query(rng, solver):
 
 
 def test_table_chunked_by_start_equals_one_chunk(rng, monkeypatch):
+    # With no room, the pass runs one start at a time over one-set chunks and
+    # keeps no layer, so each path reruns the kernel for its start.
     pts = PointSet(rng.random((9, 2)))
     whole = ExactWindowSolver().single_slot_table(pts, range(9))
-    monkeypatch.setattr(window_solver, "TABLE_BYTES", 1)  # one start per chunk
+    monkeypatch.setattr(window_solver, "TABLE_BYTES", 1)
     chunked = ExactWindowSolver().single_slot_table(pts, range(9))
+    assert whole._layers is not None and chunked._layers is None
+    paths = 0
     for lo in range(9):
         for hi in range(lo, 9):
             assert np.array_equal(chunked.run(lo, hi), whole.run(lo, hi))
+            for c, d in [(lo, hi), (hi, lo), ((lo + hi) // 2, hi)]:
+                for k in range(1, hi - lo + 2):
+                    assert chunked.path(lo, hi, c, d, k) == whole.path(lo, hi, c, d, k)
+                    paths += whole.path(lo, hi, c, d, k) is not None
+    assert paths > 200
 
 
 def held_karp_by_loops(coords):
@@ -224,6 +234,51 @@ def test_every_run_of_one_pass_equals_its_own_table(rng):
                 if n <= 8:
                     loops = held_karp_by_loops(pts.coords[list(alone.pts)])
                     assert np.array_equal(table.run(lo, hi), loops)
+
+
+def tie_heavy_coords(rng, w, d):
+    """Half-grid coordinates; up to three rows copy one point and one more
+    row copies another, so points coincide besides tying on the grid."""
+    coords = rng.integers(0, 3, (w, d)) / 2.0
+    coords[rng.integers(0, w, 3)] = coords[rng.integers(0, w)]
+    coords[rng.integers(0, w)] = coords[rng.integers(0, w)]
+    return coords
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("table_bytes", [window_solver.TABLE_BYTES, 1])
+def test_kernel_equals_the_loops_on_ties_and_coincident_points(rng, monkeypatch, d, table_bytes):
+    # Both ways of running the kernel, every start at once over whole layers
+    # and one start at a time over one-set chunks, give the loop's numbers.
+    monkeypatch.setattr(window_solver, "TABLE_BYTES", table_bytes)
+    for w in range(1, 10):
+        for _ in range(2):
+            pts = PointSet(tie_heavy_coords(rng, w, d))
+            table = ExactWindowSolver().single_slot_table(pts, range(w))
+            assert (table._layers is None) == (table_bytes == 1)
+            loops = held_karp_by_loops(pts.coords[list(table.pts)])
+            assert np.array_equal(table.run(0, w - 1), loops)
+
+
+def test_a_fifteen_point_build_stays_under_its_byte_ceiling(monkeypatch):
+    # Besides its ranges, a build holds the layers it keeps (at most
+    # TABLE_BYTES), or one start's layers when they do not fit, and chunk
+    # temporaries of at most 1/32 of TABLE_BYTES each.  SLACK covers the
+    # index plans (about 0.6 MB at 15 points) and the copies of distances.
+    SLACK = 2 << 20
+    pts = PointSet(np.random.default_rng(15).random((15, 2)))
+    ranges_bytes = 8 * 15**4 * 16
+    for table_bytes in (window_solver.TABLE_BYTES, 4 << 20):
+        monkeypatch.setattr(window_solver, "TABLE_BYTES", table_bytes)
+        window_solver._layers.cache_clear()
+        tracemalloc.start()
+        try:
+            table = ExactWindowSolver().single_slot_table(pts, range(15))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (table._layers is None) == (table_bytes < 16 << 20)
+        assert peak < table_bytes + ranges_bytes + SLACK, (table_bytes, peak)
 
 
 def test_runs_of_a_scattered_request_follow_the_sweep_order(rng):

@@ -3,15 +3,25 @@ import pytest
 from orienteer import (
     Path,
     PointSet,
+    Window,
     decompose_path,
     directed_edge_partition,
-    enumerate_windows,
     excess,
     window_excess,
     window_points,
 )
 from orienteer.paths import edge_set_length, path_length
 from conftest import random_rotated_path
+
+
+def enumerate_windows(points: PointSet) -> list[Window]:
+    """All n*(n+1)/2 windows over anchor pairs a <= b in sweep order."""
+    order = points.sweep_order
+    return [
+        Window(points, int(order[i]), int(order[j]))
+        for i in range(points.n)
+        for j in range(i, points.n)
+    ]
 
 
 @pytest.mark.parametrize("n,expected", [(1, 1), (3, 6), (10, 55)])
