@@ -95,22 +95,22 @@ def verify_solution(instance: Instance, solution: Solution, oracle_check: bool =
                    f"visited {visited}, k {instance.k}")
 
     if oracle_check:
-        _oracle_checks(report, instance, coords, length, visited, tol)
+        _oracle_checks(report, instance, coords, dmat, length, visited, tol)
     return report
 
 
-def _oracle_checks(report, instance, coords, length, visited, tol):
+def _oracle_checks(report, instance, coords, dmat, length, visited, tol):
     delta = instance.delta
     try:
         if instance.kind == "ktsp":
             _, opt = brute_ktsp(coords, instance.source, instance.sink, instance.k)
-            excess = opt - float(np.linalg.norm(coords[instance.sink] - coords[instance.source]))
+            excess = opt - float(dmat[instance.source, instance.sink])
             bound = opt + delta * excess + tol
             report.add("excess guarantee", length <= bound,
                        f"length {length!r}, optimum {opt!r}, bound {bound!r}")
         elif instance.kind == "mktsp":
             _, opt = brute_mktsp(coords, [tuple(p) for p in instance.pairs], instance.k)
-            direct = sum(float(np.linalg.norm(coords[t] - coords[s])) for s, t in instance.pairs)
+            direct = sum(float(dmat[s, t]) for s, t in instance.pairs)
             bound = opt + delta * (opt - direct) + tol
             report.add("excess guarantee", length <= bound,
                        f"length {length!r}, optimum {opt!r}, bound {bound!r}")

@@ -29,14 +29,12 @@ Held-Karp kernel that stores each layer of visited sets of one size
 compactly, as dp[last, start, set] over the positions of the set's own
 points, so it carries no cell for a point outside the set.  Each layer is
 one vectorised min-plus step over the one before, taken over chunks of sets
-so that no temporary outgrows its share of ``TABLE_BYTES``.  When all the
-layers of a window fit in ``TABLE_BYTES`` (up to 16 points) the table keeps
-them, and ``SingleSlotTable.path`` backtracks through them to read an
-optimal path of any run back, with the ties ``solve_window`` would pick.
-Above that the pass runs the same kernel one start at a time and keeps no
-layer, and ``path`` reruns it for its one start over the run's points.  So a
-k-TSP solve reads its paths from its table's kernel and never
-calls ``solve_window``.
+so that no temporary outgrows ``CHUNK_BYTES``, and is folded into the
+table's ranges as it arrives; the table keeps no layer.
+``SingleSlotTable.path`` reads an optimal path of a run back by rerunning
+the same kernel from the path's start over the run's points, with the ties
+``solve_window`` would pick.  So a k-TSP solve reads its paths from its
+table's kernel and never calls ``solve_window``.
 """
 
 from __future__ import annotations
@@ -54,10 +52,9 @@ from .paths import Path
 
 DEFAULT_POINT_CAP = 18
 
-#: Byte ceiling on the Held-Karp layers a table keeps (8 * k * k * C(w, k)
-#: bytes for the k-point sets of a w-point window); each temporary of a
-#: chunk of sets takes at most 1/32 of it.
-TABLE_BYTES = 64 << 20
+#: Byte ceiling on each temporary of a chunk of sets in a Held-Karp step or
+#: fold; the layers themselves are not chunked.
+CHUNK_BYTES = 2 << 20
 
 INF = math.inf
 
@@ -162,7 +159,7 @@ class ExactWindowSolver:
         pts = tuple(sorted((int(p) for p in point_ids), key=lambda p: ranks[p]))
         self._check_cap(pts)
         dmat = host.distance_matrix()[np.ix_(pts, pts)]
-        return SingleSlotTable(pts, *_held_karp_ranges(dmat), dmat)
+        return SingleSlotTable(pts, _held_karp_ranges(dmat), dmat)
 
     def _check_cap(self, pts):
         if len(pts) > self.point_cap:
@@ -176,17 +173,14 @@ class SingleSlotTable:
 
     ``pts`` lists the window in sweep order, and both methods take positions
     in that order.  The table answers two methods: ``run(lo, hi)`` gives the
-    optimal lengths of the run pts[lo..hi], and ``path`` reads one optimal
-    path of a run back.  When the pass's compact layers fit in
-    ``TABLE_BYTES`` (up to 16 points) the table keeps them and ``path``
-    backtracks through them; otherwise ``path`` reruns the kernel for its
-    one start over the run's points.
+    optimal lengths of the run pts[lo..hi], read from the ranges of the one
+    pass, and ``path`` reads one optimal path of a run back by rerunning the
+    kernel from its start over the run's points.
     """
 
-    def __init__(self, pts: tuple, ranges: np.ndarray, layers: tuple | None, dmat: np.ndarray):
+    def __init__(self, pts: tuple, ranges: np.ndarray, dmat: np.ndarray):
         self.pts = pts
         self._ranges = ranges
-        self._layers = layers
         self._dmat = dmat
 
     def run(self, lo: int, hi: int) -> np.ndarray:
@@ -208,49 +202,37 @@ class SingleSlotTable:
             return None
         if k == 1:
             return (self.pts[c],)
-        if self._layers is not None:  # the kept sets hold the start c
-            order, layers, dmat = range(len(self.pts)), self._layers, self._dmat
-            head, top = (), k - 1
-        else:  # rerun the kernel from c; its sets hold the run's other points
-            order = [r for r in range(lo, hi + 1) if r != c]
-            dmat = self._dmat[np.ix_(order, order)]
-            run = self._dmat[lo : hi + 1, lo : hi + 1]
-            layers = tuple(itertools.islice(_held_karp(run, c - lo), k - 1))
-            head, top, d = (self.pts[c],), k - 2, order.index(d)
+        # Rerun the kernel from c; its sets hold the run's other points.
+        order = [r for r in range(lo, hi + 1) if r != c]
         ids = [self.pts[r] for r in order]
-
-        def column(here):  # the start's column for the sets of points here
-            return 0 if head else (here < c).sum(0)
-
+        dmat = self._dmat[np.ix_(order, order)]
+        run = self._dmat[lo : hi + 1, lo : hi + 1]
+        layers = tuple(itertools.islice(_held_karp(run, c - lo), k - 1))
+        top, d = k - 2, order.index(d)
         where, plans = _layers(len(order))
         rows, pos, _ = plans[top]
-        inside = rows >> d & 1 == 1
-        if not head:
-            inside &= (rows >> c & 1 == 1) & (rows & ~((1 << (hi + 1)) - (1 << lo)) == 0)
-        sel = np.flatnonzero(inside)
-        costs = layers[top][(pos[:, sel] < d).sum(0), column(pos[:, sel]), sel]
+        sel = np.flatnonzero(rows >> d & 1 == 1)
+        costs = layers[top][(pos[:, sel] < d).sum(0), 0, sel]
         best = costs.min(initial=INF)
         if best == INF:
             return None
-        row = min(
-            sel[costs == best].tolist(),
-            key=lambda r: sorted([ids[p] for p in pos[:, r]] + list(head)),
-        )
+        row = min(sel[costs == best].tolist(), key=lambda r: sorted(ids[p] for p in pos[:, r]))
         walk = [d]
         for i in range(top, 0, -1):
             cur, here = walk[-1], pos[:, row]
-            target = layers[i][np.flatnonzero(here == cur)[0], column(here), row]
+            target = layers[i][np.flatnonzero(here == cur)[0], 0, row]
             row = where[rows[row] ^ (1 << cur)]
             rows, pos, _ = plans[i - 1]
             here = pos[:, row]
-            ties = here[layers[i - 1][:, column(here), row] + dmat[here, cur] == target]
+            ties = here[layers[i - 1][:, 0, row] + dmat[here, cur] == target]
             walk.append(max(ties.tolist(), key=ids.__getitem__))
-        return head + tuple(ids[r] for r in reversed(walk))
+        return (self.pts[c],) + tuple(ids[r] for r in reversed(walk))
 
 
-#: A solve passes over one window size, and the plans of 18 points take
-#: about 5 MB, so only the two latest sizes are kept.
-@functools.lru_cache(maxsize=2)
+#: A table build takes the plans of its window size and each ``path`` rerun
+#: those of its run size less one, so every size up to the cap is kept: the
+#: plans of 18 points take about 5 MB, and all sizes up to it about 10 MB.
+@functools.lru_cache(maxsize=DEFAULT_POINT_CAP)
 def _layers(w: int) -> tuple:
     """(where, plans): the index plans of a w-point pass.
 
@@ -284,8 +266,8 @@ def _layers(w: int) -> tuple:
 
 def _chunks(rows: int, cells: int):
     """Row slices of a layer whose temporaries of ``cells`` floats per row
-    take at most 1/32 of ``TABLE_BYTES`` each."""
-    step = max(1, (TABLE_BYTES >> 5) // (8 * cells))
+    take at most ``CHUNK_BYTES`` each."""
+    step = max(1, CHUNK_BYTES // (8 * cells))
     return (slice(a, a + step) for a in range(0, rows, step))
 
 
@@ -298,9 +280,9 @@ def _held_karp(dmat: np.ndarray, start: int | None = None):
     ``last`` (INF when there is none).  Only members are stored, so the
     layer has k * k * C(w, k) cells.
 
-    With a ``start`` point every path begins there instead: the sets range
-    over the w - 1 other points, layer k - 1 holds paths over k + 1 points,
-    and it has one start column.
+    With a ``start`` point, as ``SingleSlotTable.path`` runs it, every path
+    begins there instead: the sets range over the w - 1 other points, layer
+    k - 1 holds paths over k + 1 points, and it has one start column.
 
     A set ending at position j has one predecessor set, itself without that
     point, in which the start moves down one position when it lay above j.
@@ -337,56 +319,32 @@ def _held_karp(dmat: np.ndarray, start: int | None = None):
         yield layer
 
 
-def _held_karp_ranges(dmat: np.ndarray) -> tuple:
-    """(ranges, layers): ranges[lo, hi, k, last, start] is the shortest
-    start -> last path over exactly k of the points lo..hi (INF when lo > hi
-    or no such path), and layers are the ``_held_karp`` layers of the pass,
-    or None when together they would take more than ``TABLE_BYTES``.  Then
-    the pass runs one start at a time and keeps no layer.
+def _held_karp_ranges(dmat: np.ndarray) -> np.ndarray:
+    """ranges[lo, hi, k, last, start]: the shortest start -> last path over
+    exactly k of the points lo..hi (INF when lo > hi or no such path), from
+    one all-starts ``_held_karp`` pass.
 
     Each layer's cells are folded by ``np.minimum.at`` into the entry of
-    their set's (lowest, highest) point and their (last, start) points; a
-    set lies inside the run lo..hi exactly when its lowest point is at
-    least lo and its highest at most hi, so a prefix-min over (lo, hi)
-    yields every run's table from one pass.
+    their set's (lowest, highest) point and their (last, start) points as
+    the layer arrives, and the layer is then dropped.  A set lies inside the
+    run lo..hi exactly when its lowest point is at least lo and its highest
+    at most hi, so a prefix-min over (lo, hi) yields every run's table.
     """
     w = dmat.shape[0]
     ranges = np.full((w, w, w + 1, w, w), INF)
-    points = np.arange(w)
-    if 8 * sum(k * k * math.comb(w, k) for k in range(1, w + 1)) <= TABLE_BYTES:
-        layers = _fold(ranges, _held_karp(dmat), points, None, keep=True)
-    else:
-        layers = None
-        ranges[points, points, 1, points, points] = 0.0  # the one-point paths
-        for c in range(w) if w > 1 else ():  # a lone point has no other points
-            _fold(ranges, _held_karp(dmat, c), np.delete(points, c), c, keep=False)
+    plans = _layers(w)[1]
+    for i, layer in enumerate(_held_karp(dmat)):
+        ids = plans[i][1]
+        for part in _chunks(ids.shape[1], ids.shape[0] ** 2):
+            pos = ids[:, part].astype(np.intp)
+            at = ((pos[0] * w + pos[-1]) * (w + 1) + len(pos)) * w
+            at = (at + pos[:, None]) * w + pos
+            np.minimum.at(ranges.reshape(-1), at.reshape(-1), layer[:, :, part].reshape(-1))
     for lo in range(w - 2, -1, -1):
         np.minimum(ranges[lo], ranges[lo + 1], out=ranges[lo])
     for hi in range(1, w):
         np.minimum(ranges[:, hi], ranges[:, hi - 1], out=ranges[:, hi])
-    return ranges, layers
-
-
-def _fold(ranges: np.ndarray, layers, order: np.ndarray, start: int | None, keep: bool):
-    """Fold each ``_held_karp`` layer into ranges, whose points are those of
-    ``order`` by position (and ``start``, when the sets leave it out);
-    return the layers as a tuple when ``keep`` is set."""
-    w = ranges.shape[0]
-    plans = _layers(len(order))[1]
-    kept = []
-    for i, layer in enumerate(layers):
-        ids = plans[i][1]
-        for part in _chunks(ids.shape[1], ids.shape[0] ** 2):
-            pos = order[ids[:, part]]
-            low, high, firsts = pos[0], pos[-1], pos
-            if start is not None:
-                low, high, firsts = np.minimum(low, start), np.maximum(high, start), start
-            at = ((low * w + high) * (w + 1) + len(pos) + (start is not None)) * w
-            at = (at + pos[:, None]) * w + firsts
-            np.minimum.at(ranges.reshape(-1), at.reshape(-1), layer[:, :, part].reshape(-1))
-        if keep:
-            kept.append(layer)
-    return tuple(kept)
+    return ranges
 
 
 def _multi_slot_dp(host: PointSet, pts: list, endpoints: EndpointArrays):

@@ -168,16 +168,16 @@ def test_tie_order_picks_a_fixed_optimum(coords, k, visits):
 
 @pytest.mark.parametrize("no_room", [False, True])
 def test_table_path_is_the_window_oracle_path_tie_for_tie(rng, monkeypatch, no_room):
-    # With no room the table keeps no layer, and every path request reruns
-    # the kernel for its one start over one-set chunks.
+    # Every path request reruns the kernel from its start.  With no room
+    # (a one-byte chunk ceiling) the build and each rerun step over chunks of
+    # one set each.
     if no_room:
-        monkeypatch.setattr(window_solver, "TABLE_BYTES", 1)
+        monkeypatch.setattr(window_solver, "CHUNK_BYTES", 1)
     solver = ExactWindowSolver()
     checked = 0
     for n, d in [(3, 1), (4, 2), (5, 3), (6, 1), (7, 2), (8, 3)]:
         pts = tie_heavy_points(rng, n, d)
         table = solver.single_slot_table(pts, range(n))
-        assert (table._layers is None) == no_room
         for lo in range(n):
             for hi in range(lo, n):
                 run = table.run(lo, hi)

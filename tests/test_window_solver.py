@@ -177,22 +177,25 @@ def test_batched_table_agrees_with_per_query(rng, solver):
 
 
 def test_table_chunked_by_start_equals_one_chunk(rng, monkeypatch):
-    # With no room, the pass runs one start at a time over one-set chunks and
-    # keeps no layer, so each path reruns the kernel for its start.
+    # A one-byte chunk ceiling forces chunks of one set each, in the build
+    # and in the kernel reruns of ``path``; the runs and the paths read back
+    # equal those of the default chunks.
     pts = PointSet(rng.random((9, 2)))
     whole = ExactWindowSolver().single_slot_table(pts, range(9))
-    monkeypatch.setattr(window_solver, "TABLE_BYTES", 1)
+    paths = {
+        (lo, hi, c, d, k): whole.path(lo, hi, c, d, k)
+        for lo in range(9)
+        for hi in range(lo, 9)
+        for c, d in [(lo, hi), (hi, lo), ((lo + hi) // 2, hi)]
+        for k in range(1, hi - lo + 2)
+    }
+    monkeypatch.setattr(window_solver, "CHUNK_BYTES", 1)
     chunked = ExactWindowSolver().single_slot_table(pts, range(9))
-    assert whole._layers is not None and chunked._layers is None
-    paths = 0
     for lo in range(9):
         for hi in range(lo, 9):
             assert np.array_equal(chunked.run(lo, hi), whole.run(lo, hi))
-            for c, d in [(lo, hi), (hi, lo), ((lo + hi) // 2, hi)]:
-                for k in range(1, hi - lo + 2):
-                    assert chunked.path(lo, hi, c, d, k) == whole.path(lo, hi, c, d, k)
-                    paths += whole.path(lo, hi, c, d, k) is not None
-    assert paths > 200
+    assert {query: chunked.path(*query) for query in paths} == paths
+    assert sum(visits is not None for visits in paths.values()) > 200
 
 
 def held_karp_by_loops(coords):
@@ -246,39 +249,43 @@ def tie_heavy_coords(rng, w, d):
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
-@pytest.mark.parametrize("table_bytes", [window_solver.TABLE_BYTES, 1])
-def test_kernel_equals_the_loops_on_ties_and_coincident_points(rng, monkeypatch, d, table_bytes):
-    # Both ways of running the kernel, every start at once over whole layers
-    # and one start at a time over one-set chunks, give the loop's numbers.
-    monkeypatch.setattr(window_solver, "TABLE_BYTES", table_bytes)
+@pytest.mark.parametrize("chunk_bytes", [window_solver.CHUNK_BYTES, 1])
+def test_kernel_equals_the_loops_on_ties_and_coincident_points(rng, monkeypatch, d, chunk_bytes):
+    # The pass gives the loop's numbers over the default chunks and over the
+    # one-set chunks that a one-byte ceiling forces.
+    monkeypatch.setattr(window_solver, "CHUNK_BYTES", chunk_bytes)
     for w in range(1, 10):
         for _ in range(2):
             pts = PointSet(tie_heavy_coords(rng, w, d))
             table = ExactWindowSolver().single_slot_table(pts, range(w))
-            assert (table._layers is None) == (table_bytes == 1)
             loops = held_karp_by_loops(pts.coords[list(table.pts)])
             assert np.array_equal(table.run(0, w - 1), loops)
 
 
 def test_a_fifteen_point_build_stays_under_its_byte_ceiling(monkeypatch):
-    # Besides its ranges, a build holds the layers it keeps (at most
-    # TABLE_BYTES), or one start's layers when they do not fit, and chunk
-    # temporaries of at most 1/32 of TABLE_BYTES each.  SLACK covers the
-    # index plans (about 0.6 MB at 15 points) and the copies of distances.
+    # Besides its ranges, a build holds at most two adjacent layers at once
+    # (a step reads one and grows the next; a fold sees one) and, in a step,
+    # four float temporaries of a chunk of sets: the steps, the distances
+    # added to them, their minimum and its reindexed copy, each at most
+    # CHUNK_BYTES.  SLACK covers the index plans (about 0.6 MB at 15 points)
+    # and the copies of distances.  The smaller second ceiling checks that
+    # the peak follows it.
     SLACK = 2 << 20
-    pts = PointSet(np.random.default_rng(15).random((15, 2)))
-    ranges_bytes = 8 * 15**4 * 16
-    for table_bytes in (window_solver.TABLE_BYTES, 4 << 20):
-        monkeypatch.setattr(window_solver, "TABLE_BYTES", table_bytes)
+    w = 15
+    pts = PointSet(np.random.default_rng(15).random((w, 2)))
+    ranges_bytes = 8 * w**4 * (w + 1)
+    layer_bytes = [8 * k * k * math.comb(w, k) for k in range(1, w + 1)]
+    two_layers = max(map(sum, zip(layer_bytes, layer_bytes[1:])))
+    for chunk_bytes in (window_solver.CHUNK_BYTES, 128 << 10):
+        monkeypatch.setattr(window_solver, "CHUNK_BYTES", chunk_bytes)
         window_solver._layers.cache_clear()
         tracemalloc.start()
         try:
-            table = ExactWindowSolver().single_slot_table(pts, range(15))
+            ExactWindowSolver().single_slot_table(pts, range(w))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (table._layers is None) == (table_bytes < 16 << 20)
-        assert peak < table_bytes + ranges_bytes + SLACK, (table_bytes, peak)
+        assert peak < ranges_bytes + two_layers + 4 * chunk_bytes + SLACK, (chunk_bytes, peak)
 
 
 def test_runs_of_a_scattered_request_follow_the_sweep_order(rng):
@@ -296,20 +303,21 @@ def test_runs_of_a_scattered_request_follow_the_sweep_order(rng):
 def test_fifteen_point_table_matches_collinear_closed_form(rng, solver):
     # Unit-spaced points on a line, ids shuffled.  A c -> d path covers the
     # |x_c - x_d| + 1 points between its ends for free; each further point
-    # lies outside that span and costs a detour of 2.
-    w = 15
-    x = rng.permutation(w)
-    pts = PointSet(np.column_stack([x, np.zeros(w)]))
-    table = solver.single_slot_table(pts, range(w))
-    for c in range(w):
-        for d in range(w):
-            for k in range(1, w + 1):
-                span = abs(int(x[c]) - int(x[d]))
-                if (k == 1) == (c == d):
-                    expected = span + 2 * max(0, k - span - 1)
-                else:
-                    expected = math.inf
-                assert table_length(table, c, d, k) == expected
+    # lies outside that span and costs a detour of 2.  Checked at 15 points
+    # and at 17.
+    for w in (15, 17):
+        x = rng.permutation(w)
+        pts = PointSet(np.column_stack([x, np.zeros(w)]))
+        table = solver.single_slot_table(pts, range(w))
+        for c in range(w):
+            for d in range(w):
+                for k in range(1, w + 1):
+                    span = abs(int(x[c]) - int(x[d]))
+                    if (k == 1) == (c == d):
+                        expected = span + 2 * max(0, k - span - 1)
+                    else:
+                        expected = math.inf
+                    assert table_length(table, c, d, k) == expected, (w, c, d, k)
 
 
 def test_reused_solver_keeps_no_point_set(monkeypatch):
