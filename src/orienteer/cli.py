@@ -88,7 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("solve", help="solve an instance file and write the solution")
     s.add_argument("instance")
     s.add_argument("-o", "--output", required=True)
-    s.add_argument("--seed", type=int, default=0, help="seed for direction sampling")
     s.add_argument("--oracle-check", action="store_true",
                    help="re-solve with the brute-force oracle and compare")
     s.add_argument("--render-out", default=None, help="also write an SVG rendering")
@@ -134,7 +133,6 @@ def cmd_solve(args) -> int:
     points = inst.point_set()
     config = {
         "delta": inst.delta,
-        "seed": args.seed,
         "window_solver": "exact-bitmask",
         "package_version": __version__,
     }
@@ -150,7 +148,7 @@ def cmd_solve(args) -> int:
     elif inst.kind == "mktsp":
         multi, total = solve_mktsp(
             points, [tuple(p) for p in inst.pairs], inst.k, inst.delta,
-            window_solver=solver, rng_seed=args.seed,
+            window_solver=solver,
         )
         solution = Solution(
             kind=inst.kind,
@@ -163,7 +161,6 @@ def cmd_solve(args) -> int:
         result = solve_orienteering(
             OrienteeringInstance(points, inst.root, inst.budget, inst.delta),
             window_solver=solver,
-            rng_seed=args.seed,
         )
         solution = Solution(
             kind=inst.kind,

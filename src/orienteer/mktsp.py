@@ -63,7 +63,6 @@ def solve_mktsp(
     k: int,
     delta: float = 0.25,
     window_solver=None,
-    rng_seed: int = 0,
     cost_cap: float | None = None,
 ):
     """m paths with prescribed endpoints jointly visiting at least k points.
@@ -110,7 +109,7 @@ def solve_mktsp(
     directed = [(s, t) for s, t in pairs if points.distance(s, t) > 0.0]
     transform = Transform.identity(points.dim)
     if directed:
-        transform, _ = orient_pairs(points, directed, rng_seed)
+        transform, _ = orient_pairs(points, directed)
     rotated = points.transformed(transform)
     swapped = [rotated.ranks[s] > rotated.ranks[t] for s, t in pairs]
     work_pairs = [
@@ -122,9 +121,7 @@ def solve_mktsp(
     order = [int(i) for i in rotated.sweep_order]
     rank = rotated.ranks.tolist()
     dmat = rotated.distance_rows()
-    cost_limit = None
-    if cost_cap is not None:
-        cost_limit = cost_cap + rotated.length_tolerance()
+    cost_limit = INF if cost_cap is None else cost_cap + rotated.length_tolerance()
 
     def pending(T) -> tuple[set, float]:
         """The endpoints a state still has to visit, and a lower bound on the
@@ -140,7 +137,7 @@ def solve_mktsp(
         return need, lb
 
     base_key = (tuple([None] * m), 0)
-    if cost_limit is not None and pending(base_key[0])[1] > cost_limit:
+    if pending(base_key[0])[1] > cost_limit:
         return None
     tables: list[dict] = [dict() for _ in range(n + 1)]
     tables[0][base_key] = 0.0
@@ -158,7 +155,7 @@ def solve_mktsp(
                     need, lb_tail = pending(T)
                     if any(rank[p] < i for p in need):
                         continue  # the sweep has passed a point it still needs
-                    if cost_limit is not None and cost + bridge + lb_tail > cost_limit:
+                    if cost + bridge + lb_tail > cost_limit:
                         continue  # over the cap at every visit count
                     lengths = memo.get((S2, T2))
                     if lengths is None:  # an empty dict is a stored answer
@@ -170,7 +167,7 @@ def solve_mktsp(
                         if kw == 0 or kk + len(need) > k:
                             continue  # each needed endpoint adds a visit
                         total = cost + bridge + a_len
-                        if cost_limit is not None and total + lb_tail > cost_limit:
+                        if total + lb_tail > cost_limit:
                             continue
                         nkey = (T, kk)
                         if total < tables[i].get(nkey, INF):
@@ -183,7 +180,7 @@ def solve_mktsp(
     # visits.
     best_col = min((n, *range(n)), key=lambda col: tables[col].get(answer_key, INF))
     if answer_key not in tables[best_col]:
-        if cost_limit is not None:
+        if cost_cap is not None:
             return None
         raise ConsistencyError("no feasible entry for a feasible instance")
 
@@ -283,6 +280,8 @@ def _reconstruct(rotated, solver, order, back, col, key, delta_prime, m):
         sol = solver.solve_window(
             rotated, w_ids, EndpointArrays(S2, T2), kw, delta_prime
         )
+        if not sol.feasible:
+            raise ConsistencyError(f"the oracle has no system for ranks {j}..{col - 1}")
         for l in range(m):
             if S2[l] is not None:
                 segments[l].append(list(sol.paths[l].visits))

@@ -88,7 +88,6 @@ def concatenate_skeleton_paths(multi: MultiPath, skeleton) -> Path:
 def solve_orienteering(
     instance: OrienteeringInstance,
     window_solver=None,
-    rng_seed: int = 0,
 ) -> OrienteeringSolution:
     """Maximize visits under the budget with a (1 - delta) guarantee.
 
@@ -168,7 +167,6 @@ def solve_orienteering(
                 k,
                 oracle_delta,
                 window_solver=window_solver,
-                rng_seed=rng_seed,
                 cost_cap=instance.budget,
             )
             if result is None:

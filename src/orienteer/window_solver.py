@@ -206,8 +206,7 @@ class SingleSlotTable:
         order = [r for r in range(lo, hi + 1) if r != c]
         ids = [self.pts[r] for r in order]
         dmat = self._dmat[np.ix_(order, order)]
-        run = self._dmat[lo : hi + 1, lo : hi + 1]
-        layers = tuple(itertools.islice(_held_karp(run, c - lo), k - 1))
+        layers = tuple(itertools.islice(_held_karp(dmat, self._dmat[c, order]), k - 1))
         top, d = k - 2, order.index(d)
         where, plans = _layers(len(order))
         rows, pos, _ = plans[top]
@@ -271,8 +270,8 @@ def _chunks(rows: int, cells: int):
     return (slice(a, a + step) for a in range(0, rows, step))
 
 
-def _held_karp(dmat: np.ndarray, start: int | None = None):
-    """Yield the Held-Karp layers of a pass over the points of ``dmat``.
+def _held_karp(dmat: np.ndarray, start: np.ndarray | None = None):
+    """Yield the Held-Karp layers of a pass over the w points of ``dmat``.
 
     Layer k - 1 holds dp[last, start, row]: the shortest path that visits
     exactly the k points of set ``row`` of ``_layers(w)``, starts at the
@@ -280,9 +279,10 @@ def _held_karp(dmat: np.ndarray, start: int | None = None):
     ``last`` (INF when there is none).  Only members are stored, so the
     layer has k * k * C(w, k) cells.
 
-    With a ``start`` point, as ``SingleSlotTable.path`` runs it, every path
-    begins there instead: the sets range over the w - 1 other points, layer
-    k - 1 holds paths over k + 1 points, and it has one start column.
+    Given ``start``, the distances from a start point outside ``dmat`` to
+    each of its points, as ``SingleSlotTable.path`` runs it, every path
+    begins at that point instead: layer k - 1 holds paths over k + 1
+    points, and it has one start column.
 
     A set ending at position j has one predecessor set, itself without that
     point, in which the start moves down one position when it lay above j.
@@ -290,13 +290,7 @@ def _held_karp(dmat: np.ndarray, start: int | None = None):
     one before, taken over chunks of rows.
     """
     w = dmat.shape[0]
-    if start is None:
-        layer = np.zeros((1, 1, w))
-    else:
-        others = np.delete(np.arange(w), start)
-        layer = dmat[start, others].reshape(1, 1, -1)
-        dmat = dmat[np.ix_(others, others)]
-        w -= 1
+    layer = np.zeros((1, 1, w)) if start is None else start.reshape(1, 1, w)
     where, plans = _layers(w)
     yield layer
     for k in range(1, w):

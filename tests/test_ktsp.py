@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from orienteer import EndpointArrays, PointSet, solve_ktsp, window_solver
-from orienteer.errors import DegenerateInputError, InfeasibleError, InputError
+from orienteer.errors import ConsistencyError, DegenerateInputError, InfeasibleError, InputError
 from orienteer.oracle import brute_ktsp, seq_length
 from orienteer.paths import excess, path_length
 from orienteer.windows import decompose_path
@@ -80,7 +80,7 @@ def test_table_values_non_increasing_in_column(rng):
         k = int(rng.integers(3, n + 1))
         rotated, _ = rotate_to_axis(pts, 0, 1)
         solver = ExactWindowSolver()
-        V, order, _ = _fill_table(rotated, solver, 0, k, WINDOW_ACCURACY_FRACTION * 0.5)
+        V = _fill_table(rotated, solver, 0, k, WINDOW_ACCURACY_FRACTION * 0.5)[0]
         for i in range(n - 1):
             later = V[i + 1, : i + 1, :]
             assert np.all(later <= V[i, : i + 1, :] + 1e-12)
@@ -220,3 +220,49 @@ def test_a_solve_makes_one_table_request_and_no_window_solve():
         solver = CountingWindowSolver()
         solve_ktsp(pts, 0, 1, int(rng.integers(2, n + 1)), window_solver=solver)
         assert (solver.tables, solver.windows) == (1, 0), seed
+
+
+class SwappedTable:
+    """The exact table behind the two methods the sweep reads."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def run(self, lo, hi):
+        return self.table.run(lo, hi)
+
+    def path(self, lo, hi, c, d, k):
+        return self.table.path(lo, hi, c, d, k)
+
+
+class NoPathTable(SwappedTable):
+    def path(self, lo, hi, c, d, k):
+        return None
+
+
+class DriftingTable(SwappedTable):
+    """Each read of ``run`` adds one more unit to every length, so no read
+    after the fill reproduces the lengths the fill saw."""
+
+    reads = 0
+
+    def run(self, lo, hi):
+        self.reads += 1
+        return self.table.run(lo, hi) + self.reads
+
+
+class SwappedTableSolver(ExactWindowSolver):
+    def __init__(self, table_type):
+        super().__init__()
+        self.table_type = table_type
+
+    def single_slot_table(self, *args, **kwargs):
+        return self.table_type(super().single_slot_table(*args, **kwargs))
+
+
+@pytest.mark.parametrize("table_type", [NoPathTable, DriftingTable])
+def test_a_read_back_that_disagrees_with_the_lengths_is_a_consistency_error(rng, table_type):
+    pts = PointSet(rng.random((6, 2)))
+    assert solve_ktsp(pts, 0, 1, 4, window_solver=SwappedTableSolver(SwappedTable))
+    with pytest.raises(ConsistencyError):
+        solve_ktsp(pts, 0, 1, 4, window_solver=SwappedTableSolver(table_type))

@@ -5,11 +5,11 @@ import pytest
 
 from orienteer import PointSet, solve_ktsp, solve_mktsp
 from orienteer.directions import angle_margin
-from orienteer.errors import DegenerateInputError, InfeasibleError, InputError
+from orienteer.errors import ConsistencyError, DegenerateInputError, InfeasibleError, InputError
 from orienteer.mktsp import window_accuracy
 from orienteer.oracle import brute_mktsp
 from orienteer.paths import path_length
-from orienteer.window_solver import ExactWindowSolver
+from orienteer.window_solver import ExactWindowSolver, WindowSolution
 
 
 def random_pairs(rng, n, m):
@@ -226,6 +226,19 @@ def test_cost_cap_returns_none_when_over_budget(rng):
         result = solve_mktsp(pts, pairs, k, 0.5, cost_cap=opt)
         assert result is not None and result[1] == pytest.approx(opt, rel=1e-9)
         assert solve_mktsp(pts, pairs, k, 0.5, cost_cap=opt - 1e-6) is None
+
+
+class NoSystemWindowSolver(ExactWindowSolver):
+    """Exact lengths, but no path system when a window is read back."""
+
+    def solve_window(self, host, point_ids, endpoints, k, delta_prime=0.0):
+        return WindowSolution(math.inf, (None,) * endpoints.slots, 0)
+
+
+def test_a_read_back_that_disagrees_with_the_lengths_is_a_consistency_error(rng):
+    pts = PointSet(rng.random((6, 2)))
+    with pytest.raises(ConsistencyError):
+        solve_mktsp(pts, [(0, 1), (2, 3)], 5, window_solver=NoSystemWindowSolver())
 
 
 def test_oriented_pairs_face_forward(rng):
