@@ -15,22 +15,26 @@ Column j = -1 is the empty prefix: it sits at the source with zero length and
 zero visits, so W2[-1, c, k''] is 0 at (c = source, k'' = 0) and INF
 elsewhere.  Its candidates are the single-window solutions
 window(p_0..p_i, source -> d, k'), one per column i at or right of the
-source, so the trivial one-window decomposition is always among the
-candidates considered.
+source, which the sweep reads straight into V (0 + x is x), so the trivial
+one-window decomposition is always among the candidates considered.
 
-The sweep stores values only, V and W2, and keeps no record of which
-candidate won.  Reconstruction walks back from the end entry and re-derives
-each choice: it rebuilds the candidates of one prefix column at a time,
-takes the first column whose least candidate equals the stored V (the same
-float sums, so the test is exact), and breaks every tie as the fill's
-ordered minimum does.
+The sweep stores values only, V and the bridge blocks of W2, each built
+once its column is final, and keeps no record of which candidate won.
+Reconstruction walks back from the end entry and re-derives each choice:
+it rebuilds the candidates of one prefix column at a time, takes the first
+column whose least candidate equals the stored V (the same float sums, so
+the test is exact), and breaks every tie as the fill's ordered minimum
+does.
 
-One table request serves the whole sweep: ``single_slot_table`` over all
-points yields every window's lengths through ``run``, and reconstruction
-reads each winning window's path back from that same table with ``path``,
-so a swapped-in oracle's table has to answer ``run`` and ``path``, and
-nothing more.  A table whose read-back disagrees with its own lengths
-raises ConsistencyError.
+Two table requests serve the whole sweep.  The first window is entered
+only at the source, so ``rooted_table`` over all points, one pass from the
+source, yields its lengths for every column i; every later window lies
+right of the source, so ``single_slot_table`` over the points right of the
+source yields their lengths.  Both are read through ``run``, and
+reconstruction reads each winning window's path back from the table that
+gave its length with ``path``, so a swapped-in oracle's tables have to
+answer ``run`` and ``path``, and nothing more.  A table whose read-back
+disagrees with its own lengths raises ConsistencyError.
 
 With an exact window oracle the sweep returns the true optimum; with a
 (1 + delta')-approximate oracle run at delta' = delta/4 it returns a path of
@@ -87,79 +91,91 @@ def solve_ktsp(
     delta_prime = WINDOW_ACCURACY_FRACTION * delta
 
     rotated, _ = rotate_to_axis(points, source, sink)
-    V, W2, table, dmat = _fill_table(rotated, solver, source, k, delta_prime)
+    V, bridges, rooted, table, dmat = _fill_table(rotated, solver, source, k, delta_prime)
     end = (n - 1, int(rotated.ranks[sink]), k)
     if not math.isfinite(V[end]):
         raise InfeasibleError("no feasible path found")  # unreachable for valid input
 
-    visits = _reconstruct(V, W2, table, dmat, int(rotated.ranks[source]), end)
+    visits = _reconstruct(V, bridges, rooted, table, dmat, int(rotated.ranks[source]), end)
     path = Path(points, tuple(visits))
     return path, path_length(path)
 
 
 def _fill_table(rotated: PointSet, solver, source: int, k: int, delta_prime: float):
-    """Run the sweep; returns (V, W2, window table, distance matrix).
+    """Run the sweep; returns (V, bridges, rooted table, window table,
+    distance matrix).
 
-    Points are indexed by sweep rank, and so are the window table's
-    positions and the rows and columns of the distance matrix.  Only values
-    are stored: ``_reconstruct`` re-derives each winning choice from V and
-    W2.  W2 has a spare last row, row -1, for the empty prefix.
+    Points are indexed by sweep rank, and so are the rooted table's
+    positions and the rows and columns of the distance matrix.  The window
+    table holds the points right of the source, so its position p is rank
+    r_s + 1 + p.  Only values are stored: ``_reconstruct`` re-derives each
+    winning choice from V and the bridges, where bridges[j, c, k', kw - 1]
+    is W2[j, c, k' - kw] (INF where kw > k'), built once column j is final.
     """
     n = rotated.n
     order = [int(i) for i in rotated.sweep_order]
     r_s = order.index(source)
-    table = solver.single_slot_table(rotated, order, delta_prime)
+    rooted = solver.rooted_table(rotated, order, source, delta_prime)
+    table = solver.single_slot_table(rotated, order[r_s + 1 :], delta_prime)
     dmat = rotated.distance_matrix()[np.ix_(order, order)]
 
     V = np.full((n, n, k + 1), INF)
-    W2 = np.full((n + 1, n, k + 1), INF)
-    W2[-1, r_s, 0] = 0.0
+    bridges = np.full((n, n, k + 1, k), INF)
+    kk, kw = np.ogrid[: k + 1, 1 : k + 1]
+    fits = kk >= kw
     for i in range(r_s, n):
-        for j in (-1, *range(r_s, i)):
+        # Column -1 enters the first window at the source with nothing
+        # spent, and 0.0 + x == x, so its candidates are the rooted lengths.
+        first = rooted.run(i)[: k + 1]
+        V[i, : i + 1, : len(first)] = first.T
+        for j in range(r_s, i):
             cols = V[i, j + 1 : i + 1]
-            np.minimum(cols, _candidates(table, W2, j, i).min(axis=2), out=cols)
+            np.minimum(cols, _candidates(table, bridges, r_s, j, i).min(axis=2), out=cols)
         if i < n - 1:
-            W2[i, i + 1 :] = (V[i, : i + 1, None, :] + dmat[: i + 1, i + 1 :, None]).min(axis=0)
-    return V, W2, table, dmat
+            W2 = (V[i, : i + 1, None, :] + dmat[: i + 1, i + 1 :, None]).min(axis=0)
+            bridges[i][i + 1 :, fits] = W2[:, (kk - kw)[fits]]
+    return V, bridges, rooted, table, dmat
 
 
-def _candidates(table, W2, j: int, i: int) -> np.ndarray:
-    """cand[d, k', c * (w + 1) + kw] = W2[j, c, k' - kw] + run(j + 1, i)[kw, d, c]:
+def _candidates(table, bridges, r_s: int, j: int, i: int) -> np.ndarray:
+    """cand[d, k', c * m + kw - 1] = W2[j, c, k' - kw] + run(j + 1, i)[kw, d, c]:
     every way to end column i at d with k' visits whose last window is the
-    w = i - j points after column j, entered at c with kw of them (INF where
-    kw > k').  c and d are counted from j + 1."""
-    w, kk = i - j, np.arange(W2.shape[2])
-    # bridge[c, k', kw] = W2[j, c, k' - kw], read through w INF columns.
-    pad = np.concatenate((np.full((w, w), INF), W2[j, j + 1 : i + 1]), axis=1)
-    bridge = pad[:, w + kk[:, None] - np.arange(w + 1)]
-    cand = bridge.transpose(1, 0, 2) + table.run(j + 1, i).transpose(1, 2, 0)[:, None]
-    return cand.reshape(w, len(kk), w * (w + 1))
+    w = i - j points after column j, entered at c with kw = 1 .. m of them,
+    m = min(w, k) (INF where kw > k').  c and d are counted from j + 1."""
+    w, m = i - j, min(i - j, bridges.shape[3])
+    bridge = bridges[j, j + 1 : i + 1, :, :m]
+    run = table.run(j - r_s, i - r_s - 1)[1 : m + 1]
+    cand = bridge.transpose(1, 0, 2) + run.transpose(1, 2, 0)[:, None]
+    return cand.reshape(w, bridges.shape[2], w * m)
 
 
-def _reconstruct(V, W2, table, dmat, r_s: int, key) -> list[int]:
+def _reconstruct(V, bridges, rooted, table, dmat, r_s: int, key) -> list[int]:
     """Walk back from ``key`` = (i, d, k'), re-deriving each choice of the
-    fill and reading each window's path back from the table.
+    fill and reading each window's path back from its table.
 
     Among equal candidates the walk takes the first in scan order: the
-    first prefix column j in (-1, r_s, ..., d - 1) whose candidate row at
-    (d, k') has V[i, d, k'] as its minimum (the same float sums as the
+    first prefix column j in (-1, r_s, ..., d - 1) whose candidates at
+    (d, k') have V[i, d, k'] as their minimum (the same float sums as the
     fill's, so equality is exact), then the first argmin (c, kw) of that
     row, then the first end d' of column j that attains W2[j, c, k' - kw].
-    Raises ConsistencyError when no column reproduces V or the table has no
+    Raises ConsistencyError when no column reproduces V or a table has no
     path for the window it names.
     """
     i, d, kk = key
     pieces: list[tuple] = []
     while True:
-        for j in (-1, *range(r_s, d)):
-            row = _candidates(table, W2, j, i)[d - j - 1, kk]
-            if row.min() == V[i, d, kk]:
-                break
+        if rooted.run(i)[kk, d] == V[i, d, kk]:
+            j, piece = -1, rooted.path(i, d, kk)
         else:
-            raise ConsistencyError(f"no window reproduces V[{i}, {d}, {kk}]")
-        c, kw = divmod(int(row.argmin()), i - j + 1)
-        c += j + 1
-        piece = table.path(j + 1, i, c, d, kw)
+            for j in range(r_s, d):
+                row = _candidates(table, bridges, r_s, j, i)[d - j - 1, kk]
+                if row.min() == V[i, d, kk]:
+                    break
+            else:
+                raise ConsistencyError(f"no window reproduces V[{i}, {d}, {kk}]")
+            c, kw = divmod(int(row.argmin()), row.size // (i - j))
+            c, kw = c + j + 1, kw + 1
+            piece = table.path(j - r_s, i - r_s - 1, c - r_s - 1, d - r_s - 1, kw)
         if piece is None:
             raise ConsistencyError(f"the table has no path for ranks {j + 1}..{i}")
         pieces.append(piece)

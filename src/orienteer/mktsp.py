@@ -47,14 +47,10 @@ from .window_solver import EndpointArrays, ExactWindowSolver
 
 INF = math.inf
 
-#: The window oracle accuracy is delta' = ACCURACY_CONSTANT * delta / m^5.5.
-#: With the exact oracle the value is immaterial; it exists so an approximate
-#: oracle can be swapped in without touching this module.
-ACCURACY_CONSTANT = 1.0
-
-
 def window_accuracy(delta: float, m: int) -> float:
-    return ACCURACY_CONSTANT * delta / (m ** 5.5)
+    """The window oracle accuracy delta' = delta / m^5.5; with the exact
+    oracle the value never changes a result."""
+    return delta / (m ** 5.5)
 
 
 def solve_mktsp(

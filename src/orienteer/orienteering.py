@@ -112,8 +112,8 @@ def solve_orienteering(
     m_full = segment_count(instance.delta)
     dmat = points.distance_matrix()
 
-    # Certificate table, from one all-pairs window solve over the whole point
-    # set, requested at delta' = 0, where the oracle contract "at most
+    # Certificate table, from one rooted table over the whole point set,
+    # requested at delta' = 0, where the oracle contract "at most
     # (1 + delta') times the optimum" is exact: rooted[k, q] is the optimal
     # root -> q path over exactly k points.  An accepted system at k joins
     # into a root -> s_m walk over at least k distinct points, so it is at
@@ -124,9 +124,8 @@ def solve_orienteering(
     reach = None
     try:
         bound_solver = window_solver if window_solver is not None else ExactWindowSolver()
-        table = bound_solver.single_slot_table(points, list(range(n)), delta_prime=0.0)
-        ranks = points.ranks  # table positions follow the sweep order
-        rooted = table.run(0, n - 1)[:, ranks, ranks[root]]
+        table = bound_solver.rooted_table(points, range(n), root, delta_prime=0.0)
+        rooted = table.run(n - 1)[:, points.ranks]  # table positions follow the sweep order
         reach = np.minimum.accumulate(rooted[::-1])[::-1]  # [k, q]
     except CapacityError:
         pass  # no certificate; every skeleton goes to the multi-path solver

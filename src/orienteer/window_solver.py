@@ -17,24 +17,29 @@ The plane sweeps only require the weaker contract "length at most
 an exact solver satisfies it for every value, so ``delta_prime`` is accepted
 everywhere but never changes a result here.  Swapping in an approximate
 implementation with the same methods leaves the sweeps intact: the oracle
-answers ``solve_lengths``, ``solve_window`` and ``single_slot_table``, and
-the sweeps read a table only through its ``run`` and ``path`` methods.
+answers ``solve_lengths``, ``solve_window``, ``single_slot_table`` and
+``rooted_table``, and the sweeps read a table only through its ``run`` and
+``path`` methods.
 
 ``single_slot_table`` is a batched variant for the one-path case: one
 Held-Karp pass computes optima for *all* endpoint pairs and visit counts of
 every contiguous run of a window's points in sweep order, which is what the
-k-TSP sweep consumes in bulk: one table request per solve serves all of its
-windows, each read with ``SingleSlotTable.run``.  The pass is one
-Held-Karp kernel that stores each layer of visited sets of one size
-compactly, as dp[last, start, set] over the positions of the set's own
-points, so it carries no cell for a point outside the set.  Each layer is
-one vectorised min-plus step over the one before, taken over chunks of sets
-so that no temporary outgrows ``CHUNK_BYTES``, and is folded into the
-table's ranges as it arrives; the table keeps no layer.
-``SingleSlotTable.path`` reads an optimal path of a run back by rerunning
-the same kernel from the path's start over the run's points, with the ties
-``solve_window`` would pick.  So a k-TSP solve reads its paths from its
-table's kernel and never calls ``solve_window``.
+k-TSP sweep consumes in bulk: one request over the points right of the
+source serves every window after the first, each read with
+``SingleSlotTable.run``.  ``rooted_table`` is the one-start variant: one
+pass from a root over the other points gives optima for every end and
+visit count of every prefix of a window, which serves the sweep's first
+window, entered only at the source, and the orienteering bound, read only
+from the root.  Both passes are one Held-Karp kernel that stores each layer
+of visited sets of one size compactly, as dp[last, start, set] over the
+positions of the set's own points, so it carries no cell for a point
+outside the set.  Each layer is one vectorised min-plus step over the one
+before, taken over chunks of sets so that no temporary outgrows
+``CHUNK_BYTES``, and is folded into the table's ranges (or a rooted
+table's prefixes) as it arrives; the table keeps no layer.  Each table's ``path`` reads an optimal path back by
+rerunning the same kernel from the path's start over the run's points, with
+the ties ``solve_window`` would pick.  So a k-TSP solve reads its paths from
+its tables' kernel and never calls ``solve_window``.
 """
 
 from __future__ import annotations
@@ -155,11 +160,23 @@ class ExactWindowSolver:
     def single_slot_table(self, host: PointSet, point_ids, delta_prime: float = 0.0) -> "SingleSlotTable":
         """All-pairs, all-counts optimal path lengths of every contiguous
         run of the window's points in the host's sweep order."""
+        pts, dmat = self._sweep_window(host, point_ids)
+        return SingleSlotTable(pts, _held_karp_ranges(dmat), dmat)
+
+    def rooted_table(self, host: PointSet, point_ids, root: int, delta_prime: float = 0.0) -> "RootedTable":
+        """All-ends, all-counts optimal lengths of the paths from ``root``
+        over every prefix of the window's points in the host's sweep order."""
+        pts, dmat = self._sweep_window(host, point_ids)
+        r = pts.index(int(root))
+        return RootedTable(pts, r, _held_karp_prefixes(dmat, r), dmat)
+
+    def _sweep_window(self, host: PointSet, point_ids) -> tuple:
+        """The window's ids in the host's sweep order, and the distances
+        between them in that order."""
         ranks = host.ranks
         pts = tuple(sorted((int(p) for p in point_ids), key=lambda p: ranks[p]))
         self._check_cap(pts)
-        dmat = host.distance_matrix()[np.ix_(pts, pts)]
-        return SingleSlotTable(pts, _held_karp_ranges(dmat), dmat)
+        return pts, host.distance_matrix()[np.ix_(pts, pts)]
 
     def _check_cap(self, pts):
         if len(pts) > self.point_cap:
@@ -192,40 +209,79 @@ class SingleSlotTable:
     def path(self, lo: int, hi: int, c: int, d: int, k: int) -> tuple | None:
         """Point ids of one shortest pts[c] -> pts[d] path over exactly k of
         the points pts[lo..hi] (positions in sweep order), or None if there
-        is none.
+        is none; ties as ``_read_path`` breaks them."""
+        return _read_path(self.pts, self._dmat, lo, hi, c, d, k)
 
-        Ties go where ``solve_window`` sends them: the visited set whose
-        sorted ids come first, then, stepping back from pts[d], the tied
-        predecessor with the largest id.  Both compare the same sums.
-        """
-        if not 1 <= k <= hi - lo + 1 or (k == 1) != (c == d):
-            return None
-        if k == 1:
-            return (self.pts[c],)
-        # Rerun the kernel from c; its sets hold the run's other points.
-        order = [r for r in range(lo, hi + 1) if r != c]
-        ids = [self.pts[r] for r in order]
-        dmat = self._dmat[np.ix_(order, order)]
-        layers = tuple(itertools.islice(_held_karp(dmat, self._dmat[c, order]), k - 1))
-        top, d = k - 2, order.index(d)
-        where, plans = _layers(len(order))
-        rows, pos, _ = plans[top]
-        sel = np.flatnonzero(rows >> d & 1 == 1)
-        costs = layers[top][(pos[:, sel] < d).sum(0), 0, sel]
-        best = costs.min(initial=INF)
-        if best == INF:
-            return None
-        row = min(sel[costs == best].tolist(), key=lambda r: sorted(ids[p] for p in pos[:, r]))
-        walk = [d]
-        for i in range(top, 0, -1):
-            cur, here = walk[-1], pos[:, row]
-            target = layers[i][np.flatnonzero(here == cur)[0], 0, row]
-            row = where[rows[row] ^ (1 << cur)]
-            rows, pos, _ = plans[i - 1]
-            here = pos[:, row]
-            ties = here[layers[i - 1][:, 0, row] + dmat[here, cur] == target]
-            walk.append(max(ties.tolist(), key=ids.__getitem__))
-        return (self.pts[c],) + tuple(ids[r] for r in reversed(walk))
+
+class RootedTable:
+    """Exact single-path optima from one root over every prefix of a window.
+
+    ``pts`` lists the window in sweep order and ``root`` is the root's
+    position in it; both methods take positions in that order.
+    ``run(hi)`` gives the optimal lengths of the paths from the root over
+    the prefix pts[0..hi], read from the prefixes of the one pass, and
+    ``path`` reads one optimal path back by rerunning the kernel from the
+    root over the prefix's points, as ``SingleSlotTable.path`` does.
+    """
+
+    def __init__(self, pts: tuple, root: int, prefixes: np.ndarray, dmat: np.ndarray):
+        self.pts = pts
+        self.root = root
+        self._prefixes = prefixes
+        self._dmat = dmat
+
+    def run(self, hi: int) -> np.ndarray:
+        """best[k, d] = shortest pts[root] -> pts[d] path over exactly k of
+        the points pts[0..hi] (INF when impossible, and everywhere when hi is
+        left of the root), for k = 0 .. hi + 1 and d = 0 .. hi."""
+        return self._prefixes[hi, : hi + 2, : hi + 1]
+
+    def path(self, hi: int, d: int, k: int) -> tuple | None:
+        """Point ids of one shortest pts[root] -> pts[d] path over exactly k
+        of the points pts[0..hi], or None if there is none; ties as
+        ``_read_path`` breaks them."""
+        return _read_path(self.pts, self._dmat, 0, hi, self.root, d, k)
+
+
+def _read_path(pts: tuple, dmat: np.ndarray, lo: int, hi: int, c: int, d: int, k: int):
+    """Point ids of one shortest pts[c] -> pts[d] path over exactly k of the
+    points pts[lo..hi], or None if there is none, by rerunning the kernel
+    from c over the run's other points; ``dmat`` holds the distances
+    between the positions of ``pts``.
+
+    Ties go where ``solve_window`` sends them: the visited set whose sorted
+    ids come first, then, stepping back from pts[d], the tied predecessor
+    with the largest id.  Both compare the same sums.
+    """
+    if not (lo <= c <= hi and lo <= d <= hi and 1 <= k <= hi - lo + 1) or (k == 1) != (c == d):
+        return None
+    if k == 1:
+        return (pts[c],)
+    # Rerun the kernel from c; its sets hold the run's other points.
+    order = [r for r in range(lo, hi + 1) if r != c]
+    ids = [pts[r] for r in order]
+    start = dmat[c, order]
+    dmat = dmat[np.ix_(order, order)]
+    layers = tuple(itertools.islice(_held_karp(dmat, start), k - 1))
+    top, d = k - 2, order.index(d)
+    where, plans = _layers(len(order))
+    rows, pos, _ = plans[top]
+    sel = np.flatnonzero(rows >> d & 1 == 1)
+    costs = layers[top][(pos[:, sel] < d).sum(0), 0, sel]
+    best = costs.min(initial=INF)
+    if best == INF:
+        return None
+    row = min(sel[costs == best].tolist(), key=lambda r: sorted(ids[p] for p in pos[:, r]))
+    walk = [d]
+    for i in range(top, 0, -1):
+        cur, here = walk[-1], pos[:, row]
+        target = layers[i][np.flatnonzero(here == cur)[0], 0, row]
+        row = where[rows[row] ^ (1 << cur)]
+        rows, pos, _ = plans[i - 1]
+        here = pos[:, row]
+        ties = here[layers[i - 1][:, 0, row] + dmat[here, cur] == target]
+        walk.append(max(ties.tolist(), key=ids.__getitem__))
+    return (pts[c],) + tuple(ids[r] for r in reversed(walk))
 
 
 #: A table build takes the plans of its window size and each ``path`` rerun
@@ -339,6 +395,32 @@ def _held_karp_ranges(dmat: np.ndarray) -> np.ndarray:
     for hi in range(1, w):
         np.minimum(ranges[:, hi], ranges[:, hi - 1], out=ranges[:, hi])
     return ranges
+
+
+def _held_karp_prefixes(dmat: np.ndarray, r: int) -> np.ndarray:
+    """prefixes[hi, k, last]: the shortest r -> last path over exactly k of
+    the points 0..hi (INF when there is none), from one ``_held_karp`` pass
+    started at r over the other points.
+
+    Each layer's cells are folded by ``np.minimum.at`` into the entry of
+    their set's highest point, r included, and their last point as the
+    layer arrives.  A path lies inside the prefix 0..hi exactly when that
+    highest point is at most hi, so a prefix-min over hi yields every
+    prefix's table.
+    """
+    w = dmat.shape[0]
+    prefixes = np.full((w, w + 1, w), INF)
+    prefixes[r, 1, r] = 0.0  # the root alone
+    others = np.array([p for p in range(w) if p != r], dtype=np.intp)
+    plans = _layers(w - 1)[1]
+    layers = _held_karp(dmat[np.ix_(others, others)], dmat[r, others])
+    for (_, ids, _), layer in zip(plans, layers):
+        for part in _chunks(ids.shape[1], ids.shape[0]):
+            pos = others[ids[:, part]]
+            at = (np.maximum(pos[-1], r) * (w + 1) + len(pos) + 1) * w + pos
+            np.minimum.at(prefixes.reshape(-1), at.reshape(-1), layer[:, 0, part].reshape(-1))
+    np.minimum.accumulate(prefixes, axis=0, out=prefixes)
+    return prefixes
 
 
 def _multi_slot_dp(host: PointSet, pts: list, endpoints: EndpointArrays):

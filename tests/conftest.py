@@ -50,6 +50,10 @@ class DeltaPrimeSpy(ExactWindowSolver):
         self.seen.append(("single_slot_table", delta_prime))
         return super().single_slot_table(host, point_ids, delta_prime)
 
+    def rooted_table(self, host, point_ids, root, delta_prime=0.0):
+        self.seen.append(("rooted_table", delta_prime))
+        return super().rooted_table(host, point_ids, root, delta_prime)
+
 
 @pytest.fixture
 def delta_spy():

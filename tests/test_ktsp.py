@@ -5,6 +5,7 @@ import pytest
 
 from orienteer import EndpointArrays, PointSet, solve_ktsp, window_solver
 from orienteer.errors import ConsistencyError, DegenerateInputError, InfeasibleError, InputError
+from orienteer.geometry import rotate_to_axis
 from orienteer.oracle import brute_ktsp, seq_length
 from orienteer.paths import excess, path_length
 from orienteer.windows import decompose_path
@@ -71,7 +72,6 @@ def test_reported_length_recomputes_from_coordinates(rng):
 def test_table_values_non_increasing_in_column(rng):
     # Fixing the path end and the visit count, letting the sweep advance one
     # more point can only add candidate decompositions.
-    from orienteer.geometry import rotate_to_axis
     from orienteer.ktsp import WINDOW_ACCURACY_FRACTION, _fill_table
 
     for _ in range(10):
@@ -89,7 +89,7 @@ def test_table_values_non_increasing_in_column(rng):
 def test_table_plumbs_quarter_delta_to_window_oracle(delta_spy):
     pts = PointSet([[0.0, 0], [0.5, 0.4], [1.0, 0]])
     solve_ktsp(pts, 0, 2, 3, delta=0.8, window_solver=delta_spy)
-    assert delta_spy.seen == [("single_slot_table", 0.2)]
+    assert delta_spy.seen == [("rooted_table", 0.2), ("single_slot_table", 0.2)]
 
 
 def test_optimal_path_window_chain_bounds_cost(rng):
@@ -102,7 +102,6 @@ def test_optimal_path_window_chain_bounds_cost(rng):
         pts = PointSet(rng.random((n, 2)))
         k = int(rng.integers(3, n + 1))
         seq, opt = brute_ktsp(pts, 0, 1, k)
-        from orienteer.geometry import rotate_to_axis
         from orienteer.paths import Path
 
         rotated, _ = rotate_to_axis(pts, 0, 1)
@@ -196,65 +195,120 @@ def test_table_path_is_the_window_oracle_path_tie_for_tie(rng, monkeypatch, no_r
     assert checked > 1000
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_rooted_table_is_the_window_table_at_its_root(rng, d):
+    # The rooted pass gives the all-starts table's numbers at the root's
+    # start column for every prefix, bit for bit, and the same paths tie for
+    # tie; tie-heavy points include a coincident pair.
+    solver = ExactWindowSolver()
+    checked = 0
+    for n in (1, 2, 5, 7, 9):
+        pts = tie_heavy_points(rng, n, d) if n > 2 else PointSet(rng.random((n, d)))
+        table = solver.single_slot_table(pts, range(n))
+        for root in range(n):
+            rooted = solver.rooted_table(pts, range(n), root)
+            r = rooted.root
+            assert (rooted.pts, table.pts[r]) == (table.pts, root)
+            assert all(np.isinf(rooted.run(hi)).all() for hi in range(r))
+            for hi in range(r, n):
+                whole = table.run(0, hi)[:, :, r]
+                assert np.array_equal(rooted.run(hi), whole), (n, root, hi)
+            for hi in {r, n - 1}:
+                for e in range(hi + 1):
+                    for k in range(1, hi + 2):
+                        visits = rooted.path(hi, e, k)
+                        assert visits == table.path(0, hi, r, e, k)
+                        checked += visits is not None
+    assert checked > 500, checked
+
+
 class CountingWindowSolver(ExactWindowSolver):
-    """The exact oracle, counting table requests and per-window solves."""
+    """The exact oracle, counting table requests and per-window solves and
+    keeping the last window table."""
 
     def __init__(self):
         super().__init__()
-        self.tables = self.windows = 0
+        self.rooted = self.tables = self.windows = 0
+        self.table = None
+
+    def rooted_table(self, *args, **kwargs):
+        self.rooted += 1
+        return super().rooted_table(*args, **kwargs)
 
     def single_slot_table(self, *args, **kwargs):
         self.tables += 1
-        return super().single_slot_table(*args, **kwargs)
+        self.table = super().single_slot_table(*args, **kwargs)
+        return self.table
 
     def solve_window(self, *args, **kwargs):
         self.windows += 1
         return super().solve_window(*args, **kwargs)
 
 
-def test_a_solve_makes_one_table_request_and_no_window_solve():
+def test_a_solve_makes_one_request_of_each_table_and_no_window_solve():
+    # The window table holds exactly the points right of the source, so the
+    # first window is the rooted table's alone.
+    left_of_source = 0
     for seed in range(20):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(3, 12))
         pts = PointSet(rng.random((n, 1 + seed % 3)))
         solver = CountingWindowSolver()
         solve_ktsp(pts, 0, 1, int(rng.integers(2, n + 1)), window_solver=solver)
-        assert (solver.tables, solver.windows) == (1, 0), seed
+        assert (solver.rooted, solver.tables, solver.windows) == (1, 1, 0), seed
+        order = rotate_to_axis(pts, 0, 1)[0].sweep_order.tolist()
+        r_s = order.index(0)
+        assert solver.table.pts == tuple(order[r_s + 1 :]), seed
+        assert len(solver.table.pts) == n - r_s - 1
+        left_of_source += r_s > 0
+    assert 0 < left_of_source < 20
 
 
 class SwappedTable:
-    """The exact table behind the two methods the sweep reads."""
+    """An exact table behind the two methods the sweep reads."""
 
     def __init__(self, table):
         self.table = table
 
-    def run(self, lo, hi):
-        return self.table.run(lo, hi)
+    def run(self, *span):
+        return self.table.run(*span)
 
-    def path(self, lo, hi, c, d, k):
-        return self.table.path(lo, hi, c, d, k)
+    def path(self, *query):
+        return self.table.path(*query)
 
 
 class NoPathTable(SwappedTable):
-    def path(self, lo, hi, c, d, k):
+    """Lengths ten units short, so that a window right of the source
+    undercuts the rooted lengths and is read back, and no path to read."""
+
+    def run(self, *span):
+        return self.table.run(*span) - 10.0
+
+    def path(self, *query):
         return None
 
 
 class DriftingTable(SwappedTable):
-    """Each read of ``run`` adds one more unit to every length, so no read
+    """Each read of ``run`` takes one more unit off every length, so that a
+    window right of the source undercuts the rooted lengths, and no read
     after the fill reproduces the lengths the fill saw."""
 
     reads = 0
 
-    def run(self, lo, hi):
+    def run(self, *span):
         self.reads += 1
-        return self.table.run(lo, hi) + self.reads
+        return self.table.run(*span) - self.reads
 
 
 class SwappedTableSolver(ExactWindowSolver):
-    def __init__(self, table_type):
+    """The exact oracle with its rooted and window tables wrapped."""
+
+    def __init__(self, rooted_type=SwappedTable, table_type=SwappedTable):
         super().__init__()
-        self.table_type = table_type
+        self.rooted_type, self.table_type = rooted_type, table_type
+
+    def rooted_table(self, *args, **kwargs):
+        return self.rooted_type(super().rooted_table(*args, **kwargs))
 
     def single_slot_table(self, *args, **kwargs):
         return self.table_type(super().single_slot_table(*args, **kwargs))
@@ -262,7 +316,11 @@ class SwappedTableSolver(ExactWindowSolver):
 
 @pytest.mark.parametrize("table_type", [NoPathTable, DriftingTable])
 def test_a_read_back_that_disagrees_with_the_lengths_is_a_consistency_error(rng, table_type):
+    # Every walk back ends at a first window read from the rooted table, and
+    # reads a window right of the source only when it won the fill.
     pts = PointSet(rng.random((6, 2)))
-    assert solve_ktsp(pts, 0, 1, 4, window_solver=SwappedTableSolver(SwappedTable))
-    with pytest.raises(ConsistencyError):
-        solve_ktsp(pts, 0, 1, 4, window_solver=SwappedTableSolver(table_type))
+    assert solve_ktsp(pts, 0, 1, 4, window_solver=SwappedTableSolver())
+    for solver in (SwappedTableSolver(rooted_type=table_type),
+                   SwappedTableSolver(table_type=table_type)):
+        with pytest.raises(ConsistencyError):
+            solve_ktsp(pts, 0, 1, 4, window_solver=solver)

@@ -213,7 +213,8 @@ def bound_draws():
 
 def rooted_bounds(inst):
     """rooted[k, q], the optimal root -> q path length over exactly k
-    points, from the exact whole-set table, and reach[k, q], the least
+    points, from the exact whole-set all-starts table (a reference apart
+    from the rooted table the scan reads), and reach[k, q], the least
     rooted[k', q] over k' >= k."""
     n = inst.points.n
     table = ExactWindowSolver().single_slot_table(inst.points, list(range(n)))
@@ -255,7 +256,8 @@ def test_rooted_bound_table_is_requested_at_zero_delta_prime(delta_spy):
         OrienteeringInstance(inst.point_set(), inst.root, inst.budget, inst.delta),
         window_solver=delta_spy,
     )
-    assert [dp for method, dp in delta_spy.seen if method == "single_slot_table"] == [0.0]
+    assert [dp for method, dp in delta_spy.seen if method == "rooted_table"] == [0.0]
+    assert "single_slot_table" not in {method for method, _ in delta_spy.seen}
 
 
 def scanned_skeletons(inst, k, bounds):

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from orienteer import PointSet, solve_ktsp, solve_mktsp
+from orienteer import ExactWindowSolver, PointSet, solve_ktsp, solve_mktsp
+from orienteer.geometry import rotate_to_axis
 from orienteer.oracle import brute_ktsp, brute_mktsp, brute_orienteering, distances, seq_length
 from orienteer.orienteering import OrienteeringInstance, solve_orienteering
 
@@ -55,6 +56,37 @@ def test_ktsp_length_is_invariant_under_relabelling_and_similarity(
     _, moved_length = solve_ktsp(PointSet(moved), int(where[0]), int(where[1]), k)
 
     assert moved_length == pytest.approx(length * 2.0**exponent, rel=1e-9, abs=1e-12)
+
+
+@st.composite
+def ktsp_instances_by_source_rank(draw, left):
+    """Up to 12 points with the source at the origin and the sink at
+    (1, 0); with ``left``, some point lies left of the source, so the
+    source's sweep rank is above 0, and otherwise every other point lies
+    right of it."""
+    n = draw(st.integers(3, 12))
+    xs = st.integers(-4 if left else 1, 4).map(lambda v: v / 4)
+    rest = draw(st.lists(st.tuples(xs, coordinate), min_size=n - 2, max_size=n - 2))
+    if left:
+        rest[0] = (-draw(coordinate) - 0.25, rest[0][1])
+    coords = np.array([(0.0, 0.0), (1.0, 0.0), *rest])
+    return coords, draw(st.integers(2, n))
+
+
+@pytest.mark.parametrize("left", [False, True])
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(data=st.data())
+def test_ktsp_length_is_the_whole_set_table_optimum(left, data):
+    # With the exact oracle the sweep is exact: its length is the optimal
+    # source -> sink path over exactly k points that one all-starts table
+    # over the whole set gives, whether or not points lie left of the source.
+    coords, k = data.draw(ktsp_instances_by_source_rank(left))
+    pts = PointSet(coords)
+    assert (rotate_to_axis(pts, 0, 1)[0].ranks[0] > 0) == left
+    _, length = solve_ktsp(pts, 0, 1, k)
+    whole = ExactWindowSolver().single_slot_table(pts, range(pts.n)).run(0, pts.n - 1)
+    opt = whole[k, pts.ranks[1], pts.ranks[0]]
+    assert abs(length - opt) <= pts.length_tolerance()
 
 
 @st.composite

@@ -362,9 +362,12 @@ def test_delta_prime_is_recorded(solver, delta_spy):
         assert oracle.solve_lengths(pts, ids, ends, 0.125) == solver.solve_lengths(pts, ids, ends)
         table = oracle.single_slot_table(pts, ids, 0.125)
         assert np.array_equal(table.run(0, 2), solver.single_slot_table(pts, ids).run(0, 2))
+        rooted = oracle.rooted_table(pts, ids, 2, 0.125)
+        assert np.array_equal(rooted.run(2), solver.rooted_table(pts, ids, 2).run(2))
     assert vars(solver) == {}
     assert delta_spy.seen == [
-        ("solve_window", 0.125), ("solve_lengths", 0.125), ("single_slot_table", 0.125)
+        ("solve_window", 0.125), ("solve_lengths", 0.125), ("single_slot_table", 0.125),
+        ("rooted_table", 0.125),
     ]
 
 
@@ -376,11 +379,11 @@ class RunAndPathTable:
     def __init__(self, table):
         self._table = table
 
-    def run(self, lo, hi):
-        return self._table.run(lo, hi)
+    def run(self, *span):
+        return self._table.run(*span)
 
-    def path(self, lo, hi, c, d, k):
-        return self._table.path(lo, hi, c, d, k)
+    def path(self, *query):
+        return self._table.path(*query)
 
 
 class RunAndPathSolver(ExactWindowSolver):
@@ -389,10 +392,13 @@ class RunAndPathSolver(ExactWindowSolver):
     def single_slot_table(self, host, point_ids, delta_prime=0.0):
         return RunAndPathTable(super().single_slot_table(host, point_ids, delta_prime))
 
+    def rooted_table(self, host, point_ids, root, delta_prime=0.0):
+        return RunAndPathTable(super().rooted_table(host, point_ids, root, delta_prime))
+
 
 def test_sweeps_read_a_table_only_through_run_and_path():
-    # A swapped-in table needs nothing but the two methods, and the oracle
-    # gains no state from serving a solve.
+    # A swapped-in rooted or window table needs nothing but the two methods,
+    # and the oracle gains no state from serving a solve.
     def ktsp(inst, oracle):
         path, length = solve_ktsp(
             inst.point_set(), inst.source, inst.sink, inst.k, inst.delta, window_solver=oracle
