@@ -74,7 +74,8 @@ def solve_ktsp(
     coordinates.  Raises InfeasibleError when k exceeds n,
     DegenerateInputError when source equals sink, CapacityError from the
     window solver when it cannot take the whole set, the sweep's first window,
-    and ConsistencyError when the table's read-back disagrees with its lengths.
+    and ConsistencyError when the tables give no path for a feasible instance
+    or their read-back disagrees with their lengths.
     """
     n = points.n
     if not (0 <= source < n and 0 <= sink < n):
@@ -94,7 +95,8 @@ def solve_ktsp(
     V, bridges, rooted, table, dmat = _fill_table(rotated, solver, source, k, delta_prime)
     end = (n - 1, int(rotated.ranks[sink]), k)
     if not math.isfinite(V[end]):
-        raise InfeasibleError("no feasible path found")  # unreachable for valid input
+        # The input checks guarantee a path; only a broken oracle gets here.
+        raise ConsistencyError("no feasible entry for a feasible instance")
 
     visits = _reconstruct(V, bridges, rooted, table, dmat, int(rotated.ranks[source]), end)
     path = Path(points, tuple(visits))

@@ -10,18 +10,21 @@ charge against the joint excess.  The sweep then fills a table keyed by
 holding the cheapest multi-path prefix that uses points up to p_i.  T[l] is
 None until slot l starts, which it does at its prescribed source, so the
 frontiers alone say which slots have started.  A transition leaves slot l
-untouched, starts it inside the transition's window (its prescribed source
-must lie there), or bridges from its current frontier to a window entry point
-and continues to a new frontier inside the window.  Window subproblems go
+untouched, or enters the transition's window at one point and continues to a
+new frontier inside it: an unstarted slot enters at its prescribed source
+(which must lie in the window) at no cost, a started one by a bridge edge
+from its frontier to any window point.  Window subproblems go
 through the exact window oracle; transitions between slots on null endpoints
 cost nothing.  The oracle keeps no memo; the sweep keeps one per window,
 from each endpoint configuration (S2, T2) to the lengths the oracle returned,
 and drops it when that window's loop ends.
 
-Only states that can still finish are stored.  Each window configuration is
-checked before its oracle call and dropped when the sweep has already passed
-an endpoint the new state still needs, or when the prefix cost plus the
-straight-line completion bound exceeds the cost cap.
+Only states that can still finish are stored.  ``_window_configs`` alone
+decides which window configurations live: it sets slots in index order and
+drops a partial configuration as soon as the sweep has passed an endpoint
+the new state still needs, or the prefix cost plus the bridges and the
+straight-line completion bound exceeds the cost cap.  The survivors reach
+the oracle in the order they are generated.
 
 At desk scale the table is exact, so results equal brute-force enumeration;
 the oracle accuracy knob is still plumbed through as
@@ -119,22 +122,9 @@ def solve_mktsp(
     dmat = rotated.distance_rows()
     cost_limit = INF if cost_cap is None else cost_cap + rotated.length_tolerance()
 
-    def pending(T) -> tuple[set, float]:
-        """The endpoints a state still has to visit, and a lower bound on the
-        cost of completing it (summed over slots in index order)."""
-        need, lb = set(), 0.0
-        for l in range(m):
-            if T[l] is None:
-                need.update((sources[l], sinks[l]))
-                lb += dmat[sources[l]][sinks[l]]
-            elif T[l] != sinks[l]:
-                need.add(sinks[l])
-                lb += dmat[T[l]][sinks[l]]
-        return need, lb
-
+    if sum(dmat[s][t] for s, t in zip(sources, sinks)) > cost_limit:
+        return None  # the pairs' straight lines alone exceed the cap
     base_key = (tuple([None] * m), 0)
-    if pending(base_key[0])[1] > cost_limit:
-        return None
     tables: list[dict] = [dict() for _ in range(n + 1)]
     tables[0][base_key] = 0.0
     back: dict = {(0, base_key): None}
@@ -146,13 +136,9 @@ def solve_mktsp(
             memo: dict = {}  # (S2, T2) -> oracle lengths, for this window only
             for key, cost in states:
                 T1, k1 = key
-                for S2, T2, bridge in _window_configs(T1, w_ids, j, i, sources, sinks, rank, dmat):
-                    T = tuple(T1[l] if T2[l] is None else T2[l] for l in range(m))
-                    need, lb_tail = pending(T)
-                    if any(rank[p] < i for p in need):
-                        continue  # the sweep has passed a point it still needs
-                    if cost + bridge + lb_tail > cost_limit:
-                        continue  # over the cap at every visit count
+                for S2, T2, T, bridge, lb_tail, need in _window_configs(
+                    T1, cost, cost_limit, w_ids, j, i, sources, sinks, rank, dmat
+                ):
                     lengths = memo.get((S2, T2))
                     if lengths is None:  # an empty dict is a stored answer
                         lengths = memo[S2, T2] = solver.solve_lengths(
@@ -160,7 +146,7 @@ def solve_mktsp(
                         )
                     for kw, a_len in lengths.items():
                         kk = k1 + kw
-                        if kw == 0 or kk + len(need) > k:
+                        if kw == 0 or kk + need > k:
                             continue  # each needed endpoint adds a visit
                         total = cost + bridge + a_len
                         if total + lb_tail > cost_limit:
@@ -196,17 +182,31 @@ def solve_mktsp(
     return multi, total
 
 
-def _window_configs(T1, w_ids, lo, hi, sources, sinks, rank, dmat):
-    """Yield feasible (S2, T2, bridge_cost) window endpoint configurations
-    for the window w_ids, which holds the points of rank lo .. hi - 1.
+def _window_configs(T1, cost, cost_limit, w_ids, lo, hi, sources, sinks, rank, dmat):
+    """Return the live window endpoint configurations of a state with
+    frontiers T1 and prefix cost `cost`, for the window w_ids, which holds
+    the points of rank lo .. hi - 1, as tuples
+    (S2, T2, T, bridge, lb_tail, need): the segment ends per slot, the new
+    frontiers, the bridge cost, the straight-line completion bound, and the
+    number of distinct endpoints still to visit.
 
-    Per slot: untouched, start at its prescribed source inside the window, or
-    bridge from the current frontier to an entry point.  Two slots may share
-    a window point only when it is a prescribed endpoint of each of them in
-    the role it plays there (a source it starts at, a sink it ends at), as
-    with chained pairs; any other point of a segment is interior to its
-    slot's path.  A one-point segment is allowed only at the slot's own sink.
-    Frontier moves that strand a sink behind the sweep are skipped.
+    Per slot: untouched, or entered at a window point c and ended at a
+    window point d.  An unstarted slot enters only at its prescribed source,
+    with no bridge; a started slot not at its sink enters at any window
+    point, by a bridge from its frontier.  Two slots may share a window point
+    only when it is a prescribed endpoint of each of them in the role it
+    plays there (a source it starts at, a sink it ends at), as with chained
+    pairs; any other point of a segment is interior to its slot's path.  A
+    one-point segment is allowed only at the slot's own sink.
+
+    Slots are set in index order.  Each slot then adds the endpoints it
+    still needs (both ends if it has not started, its sink if its frontier
+    is not the sink) and their straight-line term, and the partial
+    configuration is dropped as soon as one of those endpoints has rank
+    below hi, or cost + bridge + lb_tail exceeds cost_limit.  Adding
+    non-negative floats never lowers a sum, so a partial drop loses only
+    configurations the complete sums would drop, and survivors keep their
+    order.
     """
     m = len(T1)
     out: list[tuple] = []
@@ -215,52 +215,40 @@ def _window_configs(T1, w_ids, lo, hi, sources, sinks, rank, dmat):
         """`used` maps each held point to whether every holder may share it."""
         return p not in used or (shared and used[p])
 
-    def rec(l, S2, T2, bridge, used, any_active):
+    def rec(l, S2, T2, T, bridge, lb, need, used):
         if l == m:
-            if any_active:
-                out.append((tuple(S2), tuple(T2), bridge))
+            if S2.count(None) < m:  # some slot enters the window
+                out.append((S2, T2, T, bridge, lb, len(need)))
             return
-        # untouched
-        S2.append(None)
-        T2.append(None)
-        rec(l + 1, S2, T2, bridge, used, any_active)
-        S2.pop()
-        T2.pop()
+        src, snk, front = sources[l], sinks[l], T1[l]
+        if front is None:
+            entries = [(src, 0.0, True)] if lo <= rank[src] < hi else []
+        elif front != snk:
+            entries = [(c, dmat[front][c], c == snk) for c in w_ids]
+        else:
+            entries = []
+        choices = [(None, None, 0.0, False)]  # untouched
+        for c, step, shared in entries:
+            if fits(c, shared, used):
+                exits = (snk,) if c == snk else (d for d in w_ids if d != c)
+                choices += [(c, d, step, shared) for d in exits if fits(d, d == snk, used)]
+        for c, d, step, shared in choices:
+            new = front if c is None else d
+            if new is None:
+                ends, term = (src, snk), dmat[src][snk]
+            elif new != snk:
+                ends, term = (snk,), dmat[new][snk]
+            else:
+                ends, term = (), 0.0
+            if any(rank[p] < hi for p in ends):
+                continue  # the sweep has passed a point this slot still needs
+            b, tail = bridge + step, lb + term
+            if cost + b + tail > cost_limit:
+                continue  # over the cap at every visit count
+            held = used if c is None else {**used, c: shared, d: d == snk}
+            rec(l + 1, S2 + (c,), T2 + (d,), T + (new,), b, tail, need.union(ends), held)
 
-        snk = sinks[l]
-        sink_ahead = rank[snk] >= hi
-
-        def exits(c):
-            """Points d the segment entered at c may end at."""
-            if c == snk:
-                return (snk,)
-            return [
-                d for d in w_ids
-                if d != c and (d == snk or sink_ahead) and fits(d, d == snk, used)
-            ]
-
-        if T1[l] is None:
-            src = sources[l]
-            if lo <= rank[src] < hi and fits(src, True, used):
-                for d in exits(src):
-                    S2.append(src)
-                    T2.append(d)
-                    rec(l + 1, S2, T2, bridge, {**used, src: True, d: d == snk}, True)
-                    S2.pop()
-                    T2.pop()
-        elif T1[l] != snk:
-            for c in w_ids:
-                if not fits(c, c == snk, used):
-                    continue
-                step = dmat[T1[l]][c]
-                for d in exits(c):
-                    S2.append(c)
-                    T2.append(d)
-                    rec(l + 1, S2, T2, bridge + step, {**used, c: c == snk, d: d == snk}, True)
-                    S2.pop()
-                    T2.pop()
-
-    rec(0, [], [], 0.0, {}, False)
+    rec(0, (), (), (), 0.0, 0.0, set(), {})
     return out
 
 

@@ -27,7 +27,7 @@ from itertools import chain, permutations
 
 import numpy as np
 
-from .errors import CapacityError, InputError
+from .errors import InputError
 from .geometry import PointSet
 from .mktsp import solve_mktsp
 from .paths import MultiPath, Path, concatenate, path_length
@@ -103,7 +103,8 @@ def solve_orienteering(
     and sorted by that length.  One whole-set table of optimal rooted path
     lengths then skips every k at which no rooted path fits, and every
     skeleton at k whose last point no in-budget rooted path over at least k
-    points reaches.
+    points reaches.  Raises CapacityError, from that table's request, when
+    the point set is over the window oracle's point cap, whatever the budget.
     """
     points = instance.points
     n = points.n
@@ -120,15 +121,12 @@ def solve_orienteering(
     # least reach[k, s_m], the least rooted[k', s_m] over k' >= k.  A
     # (k + 1)-point rooted path is a k-point one plus an edge, so the least
     # rooted path never shortens as k grows, and reach[k].min() is the least
-    # rooted[k, q] over q.
-    reach = None
-    try:
-        bound_solver = window_solver if window_solver is not None else ExactWindowSolver()
-        table = bound_solver.rooted_table(points, range(n), root, delta_prime=0.0)
-        rooted = table.run(n - 1)[:, points.ranks]  # table positions follow the sweep order
-        reach = np.minimum.accumulate(rooted[::-1])[::-1]  # [k, q]
-    except CapacityError:
-        pass  # no certificate; every skeleton goes to the multi-path solver
+    # rooted[k, q] over q.  The request raises CapacityError past the
+    # oracle's point cap, before any skeleton is tried.
+    bound_solver = window_solver if window_solver is not None else ExactWindowSolver()
+    table = bound_solver.rooted_table(points, range(n), root, delta_prime=0.0)
+    rooted = table.run(n - 1)[:, points.ranks]  # table positions follow the sweep order
+    reach = np.minimum.accumulate(rooted[::-1])[::-1]  # [k, q]
 
     others = [i for i in range(n) if i != root]
     skeleton_pool: dict[int, np.ndarray] = {}
@@ -150,14 +148,13 @@ def solve_orienteering(
         return skeleton_pool[m_eff]
 
     for k in range(n, 1, -1):
-        if reach is not None and reach[k].min() > limit:
+        if reach[k].min() > limit:
             continue  # provably no k-visit rooted path fits the budget
         m_eff = min(m_full, k - 1)
         oracle_delta = 1.0 / m_eff
         accept_visits = math.ceil((1.0 - 1.0 / m_eff) * k)
         rows = skeletons_for(m_eff)
-        if reach is not None:
-            rows = rows[reach[k, rows[:, -1]] <= limit]
+        rows = rows[reach[k, rows[:, -1]] <= limit]
         for skeleton in map(tuple, rows.tolist()):
             pairs = [(skeleton[j], skeleton[j + 1]) for j in range(m_eff)]
             result = solve_mktsp(

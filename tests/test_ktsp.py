@@ -300,6 +300,17 @@ class DriftingTable(SwappedTable):
         return self.table.run(*span) - self.reads
 
 
+class NoEntryTable(SwappedTable):
+    """No finite length anywhere and no path to read back, so the sweep
+    finds no entry for an instance the input checks call feasible."""
+
+    def run(self, *span):
+        return np.full_like(self.table.run(*span), math.inf)
+
+    def path(self, *query):
+        return None
+
+
 class SwappedTableSolver(ExactWindowSolver):
     """The exact oracle with its rooted and window tables wrapped."""
 
@@ -324,3 +335,13 @@ def test_a_read_back_that_disagrees_with_the_lengths_is_a_consistency_error(rng,
                    SwappedTableSolver(table_type=table_type)):
         with pytest.raises(ConsistencyError):
             solve_ktsp(pts, 0, 1, 4, window_solver=solver)
+
+
+def test_a_table_with_no_entry_for_a_feasible_instance_is_a_consistency_error(rng):
+    # The input checks guarantee a path, so finding none is the oracle's
+    # fault, not the instance's: ConsistencyError (exit 1), not
+    # InfeasibleError (exit 3).
+    pts = PointSet(rng.random((6, 2)))
+    solver = SwappedTableSolver(rooted_type=NoEntryTable, table_type=NoEntryTable)
+    with pytest.raises(ConsistencyError, match="no feasible entry"):
+        solve_ktsp(pts, 0, 1, 4, window_solver=solver)

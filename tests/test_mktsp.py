@@ -6,7 +6,7 @@ import pytest
 from orienteer import PointSet, solve_ktsp, solve_mktsp
 from orienteer.directions import angle_margin
 from orienteer.errors import ConsistencyError, DegenerateInputError, InfeasibleError, InputError
-from orienteer.mktsp import window_accuracy
+from orienteer.mktsp import _window_configs, window_accuracy
 from orienteer.oracle import brute_mktsp
 from orienteer.paths import path_length
 from orienteer.window_solver import ExactWindowSolver, WindowSolution
@@ -435,3 +435,80 @@ def test_one_oracle_call_per_window_and_configuration():
         assert len(set(solver.queries)) == len(solver.queries), seed
         asked += len(solver.queries)
     assert asked > 0
+
+
+def window_config_draws():
+    """Seeded sweep states for ``_window_configs``.  Each pair runs from its
+    lower-ranked end, as in the sweep, and each slot of T1 is unstarted, at
+    its sink, or at a point left of the window; the window starts at or
+    before every unstarted slot's source, the prefix cost is random, and
+    every third draw has chained pairs."""
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(5, 10))
+        m = int(rng.integers(1, min(3, n // 2) + 1))
+        pts = PointSet(rng.random((n, 2)))
+        order = [int(i) for i in pts.sweep_order]
+        rank = pts.ranks.tolist()
+        ids = [int(i) for i in rng.permutation(n)]
+        if seed % 3 == 0:
+            pairs = [(ids[j], ids[j + 1]) for j in range(m)]
+        else:
+            pairs = [(ids[2 * j], ids[2 * j + 1]) for j in range(m)]
+        pairs = [(s, t) if rank[s] < rank[t] else (t, s) for s, t in pairs]
+        sources, sinks = (tuple(ends) for ends in zip(*pairs))
+        kinds = rng.integers(0, 3, m)
+        lo = int(rng.integers(0, min([n - 1] + [rank[sources[l]] for l in range(m) if kinds[l] == 0]) + 1))
+        hi = int(rng.integers(lo + 1, n + 1))
+        T1 = tuple(
+            None if kind == 0
+            else order[int(rng.integers(0, lo))] if kind == 2 and lo > 0
+            else sinks[l]
+            for l, kind in enumerate(kinds)
+        )
+        cost = float(rng.uniform(0.0, 2.0))
+        yield T1, cost, order[lo:hi], lo, hi, sources, sinks, rank, pts.distance_rows()
+
+
+def test_window_configs_under_a_cap_are_the_uncapped_ones_filtered_in_order():
+    # The per-slot cap prune drops exactly the configurations whose complete
+    # sums exceed the cap; a cap set on some configuration's sum keeps it.
+    dropped = 0
+    for T1, cost, w_ids, *rest in window_config_draws():
+        free = _window_configs(T1, cost, math.inf, w_ids, *rest)
+        if not free:
+            continue
+        sums = sorted(cost + bridge + lb_tail for _, _, _, bridge, lb_tail, _ in free)
+        limit = sums[len(sums) // 2]
+        kept = [c for c in free if cost + c[3] + c[4] <= limit]
+        assert _window_configs(T1, cost, limit, w_ids, *rest) == kept
+        dropped += len(free) - len(kept)
+    assert dropped > 100
+
+
+def test_window_configs_need_no_point_the_sweep_has_passed():
+    # Every configuration leaves each endpoint it still needs at rank hi or
+    # beyond, enters an unstarted slot only at its source, and reports the
+    # frontiers, bridge, straight-line bound and distinct needed endpoints
+    # that its segment ends give, summed in slot order.
+    seen = 0
+    for T1, cost, w_ids, lo, hi, sources, sinks, rank, dmat in window_config_draws():
+        configs = _window_configs(T1, cost, math.inf, w_ids, lo, hi, sources, sinks, rank, dmat)
+        for S2, T2, T, bridge, lb_tail, need in configs:
+            assert T == tuple(t1 if t2 is None else t2 for t1, t2 in zip(T1, T2))
+            ends, lb, step = set(), 0.0, 0.0
+            for l, (src, snk) in enumerate(zip(sources, sinks)):
+                if S2[l] is not None and T1[l] is None:
+                    assert S2[l] == src
+                elif S2[l] is not None:
+                    step += dmat[T1[l]][S2[l]]
+                if T[l] is None:
+                    ends |= {src, snk}
+                    lb += dmat[src][snk]
+                elif T[l] != snk:
+                    ends.add(snk)
+                    lb += dmat[T[l]][snk]
+            assert all(rank[p] >= hi for p in ends)
+            assert (bridge, lb_tail, need) == (step, lb, len(ends))
+            seen += 1
+    assert seen > 500

@@ -13,7 +13,7 @@ from orienteer import (
     solve_orienteering,
 )
 from orienteer import orienteering
-from orienteer.errors import InputError
+from orienteer.errors import CapacityError, InputError
 from orienteer.generate import DISTRIBUTIONS, generate
 from orienteer.io import Solution
 from orienteer.mktsp import solve_mktsp
@@ -21,7 +21,7 @@ from orienteer.oracle import brute_orienteering
 from orienteer.orienteering import OrienteeringInstance, segment_count
 from orienteer.paths import excess, path_length
 from orienteer.verify import verify_solution
-from orienteer.window_solver import ExactWindowSolver
+from orienteer.window_solver import DEFAULT_POINT_CAP, ExactWindowSolver
 
 
 def test_skeleton_formula_examples():
@@ -93,6 +93,20 @@ def test_zero_budget_returns_root_only():
     assert sol.visited == 1
     assert sol.path.visits == (0,)
     assert sol.length == 0.0
+
+
+@pytest.mark.parametrize("budget", [0.0, 1.0])
+def test_over_the_point_cap_the_bound_table_request_raises(monkeypatch, budget):
+    # The rooted table is the scan's one capacity owner: past the oracle's
+    # point cap it raises before any skeleton goes to the multi-path
+    # solver, at a zero budget too.
+    def spy(*args, **kwargs):
+        raise AssertionError("solve_mktsp called")
+
+    monkeypatch.setattr(orienteering, "solve_mktsp", spy)
+    pts = PointSet(np.random.default_rng(3).random((DEFAULT_POINT_CAP + 1, 2)))
+    with pytest.raises(CapacityError):
+        solve_orienteering(OrienteeringInstance(pts, 0, budget, 0.5))
 
 
 def test_guarantee_on_random_instances(rng):
