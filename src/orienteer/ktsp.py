@@ -30,11 +30,14 @@ Two table requests serve the whole sweep.  The first window is entered
 only at the source, so ``rooted_table`` over all points, one pass from the
 source, yields its lengths for every column i; every later window lies
 right of the source, so ``single_slot_table`` over the points right of the
-source yields their lengths.  Both are read through ``run``, and
-reconstruction reads each winning window's path back from the table that
-gave its length with ``path``, so a swapped-in oracle's tables have to
-answer ``run`` and ``path``, and nothing more.  A table whose read-back
-disagrees with its own lengths raises ConsistencyError.
+source yields their lengths.  No path the sweep reads visits more than k
+points, so both requests pass ``max_visits=k`` and the passes stop there.
+Both tables are read through ``run``, and reconstruction reads each winning
+window's path back from the table that gave its length with ``path``, so a
+swapped-in oracle's tables have to answer ``run`` and ``path`` for counts
+up to k, and nothing more; the oracle may ignore ``max_visits`` and hold
+every count.  A table whose read-back disagrees with its own lengths raises
+ConsistencyError.
 
 With an exact window oracle the sweep returns the true optimum; with a
 (1 + delta')-approximate oracle run at delta' = delta/4 it returns a path of
@@ -117,8 +120,8 @@ def _fill_table(rotated: PointSet, solver, source: int, k: int, delta_prime: flo
     n = rotated.n
     order = [int(i) for i in rotated.sweep_order]
     r_s = order.index(source)
-    rooted = solver.rooted_table(rotated, order, source, delta_prime)
-    table = solver.single_slot_table(rotated, order[r_s + 1 :], delta_prime)
+    rooted = solver.rooted_table(rotated, order, source, delta_prime, max_visits=k)
+    table = solver.single_slot_table(rotated, order[r_s + 1 :], delta_prime, max_visits=k)
     dmat = rotated.distance_matrix()[np.ix_(order, order)]
 
     V = np.full((n, n, k + 1), INF)

@@ -28,7 +28,7 @@ the oracle in the order they are generated.
 
 At desk scale the table is exact, so results equal brute-force enumeration;
 the oracle accuracy knob is still plumbed through as
-delta' = c * delta / m^5.5 for contract compatibility with approximate
+delta' = delta / m^5.5 for contract compatibility with approximate
 window solvers.
 """
 

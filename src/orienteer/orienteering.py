@@ -126,6 +126,7 @@ def solve_orienteering(
     bound_solver = window_solver if window_solver is not None else ExactWindowSolver()
     table = bound_solver.rooted_table(points, range(n), root, delta_prime=0.0)
     rooted = table.run(n - 1)[:, points.ranks]  # table positions follow the sweep order
+    del table  # rooted is a copy; free the table's kept layers before the scan
     reach = np.minimum.accumulate(rooted[::-1])[::-1]  # [k, q]
 
     others = [i for i in range(n) if i != root]

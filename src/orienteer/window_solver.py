@@ -30,16 +30,25 @@ source serves every window after the first, each read with
 pass from a root over the other points gives optima for every end and
 visit count of every prefix of a window, which serves the sweep's first
 window, entered only at the source, and the orienteering bound, read only
-from the root.  Both passes are one Held-Karp kernel that stores each layer
-of visited sets of one size compactly, as dp[last, start, set] over the
-positions of the set's own points, so it carries no cell for a point
-outside the set.  Each layer is one vectorised min-plus step over the one
-before, taken over chunks of sets so that no temporary outgrows
-``CHUNK_BYTES``, and is folded into the table's ranges (or a rooted
-table's prefixes) as it arrives; the table keeps no layer.  Each table's ``path`` reads an optimal path back by
-rerunning the same kernel from the path's start over the run's points, with
-the ties ``solve_window`` would pick.  So a k-TSP solve reads its paths from
-its tables' kernel and never calls ``solve_window``.
+from the root.  Both take ``max_visits``: the pass stops after its layer of
+paths over that many points, so the table holds the counts up to it and no
+more.  The k-TSP sweep asks for its k; the orienteering bound reads every
+count and asks for none.  A swapped-in table may hold more counts than
+asked, since the sweeps read none above ``max_visits``.
+
+Both passes are one Held-Karp kernel that stores each layer of visited sets
+of one size compactly, as dp[last, start, set] over the positions of the
+set's own points, so it carries no cell for a point outside the set.  Each
+layer is one vectorised min-plus step over the one before, taken over
+chunks of sets so that no temporary outgrows ``CHUNK_BYTES``, and is folded
+into the table's ranges (or a rooted table's prefixes) as it arrives.  An
+all-starts table then drops the layer, and its ``path`` reads an optimal
+path back by rerunning the kernel from the path's start over the run's
+points.  A rooted pass has one start column, so its table keeps every layer
+(8.9 MB at 18 points) and its ``path`` walks back over those layers' sets
+inside the prefix.  Both walks pick the ties ``solve_window`` would pick,
+so a k-TSP solve reads its paths from its tables' kernel and never calls
+``solve_window``.
 """
 
 from __future__ import annotations
@@ -157,18 +166,25 @@ class ExactWindowSolver:
 
     # -- batched single-slot interface ------------------------------------
 
-    def single_slot_table(self, host: PointSet, point_ids, delta_prime: float = 0.0) -> "SingleSlotTable":
-        """All-pairs, all-counts optimal path lengths of every contiguous
-        run of the window's points in the host's sweep order."""
+    def single_slot_table(
+        self, host: PointSet, point_ids, delta_prime: float = 0.0, max_visits: int | None = None
+    ) -> "SingleSlotTable":
+        """All-pairs optimal path lengths of every contiguous run of the
+        window's points in the host's sweep order, for every visit count up
+        to ``max_visits`` (every count when None)."""
         pts, dmat = self._sweep_window(host, point_ids)
-        return SingleSlotTable(pts, _held_karp_ranges(dmat), dmat)
+        return SingleSlotTable(pts, _held_karp_ranges(dmat, max_visits), dmat)
 
-    def rooted_table(self, host: PointSet, point_ids, root: int, delta_prime: float = 0.0) -> "RootedTable":
-        """All-ends, all-counts optimal lengths of the paths from ``root``
-        over every prefix of the window's points in the host's sweep order."""
+    def rooted_table(
+        self, host: PointSet, point_ids, root: int, delta_prime: float = 0.0,
+        max_visits: int | None = None,
+    ) -> "RootedTable":
+        """All-ends optimal lengths of the paths from ``root`` over every
+        prefix of the window's points in the host's sweep order, for every
+        visit count up to ``max_visits`` (every count when None)."""
         pts, dmat = self._sweep_window(host, point_ids)
         r = pts.index(int(root))
-        return RootedTable(pts, r, _held_karp_prefixes(dmat, r), dmat)
+        return RootedTable(pts, r, *_held_karp_prefixes(dmat, r, max_visits), dmat)
 
     def _sweep_window(self, host: PointSet, point_ids) -> tuple:
         """The window's ids in the host's sweep order, and the distances
@@ -192,7 +208,9 @@ class SingleSlotTable:
     in that order.  The table answers two methods: ``run(lo, hi)`` gives the
     optimal lengths of the run pts[lo..hi], read from the ranges of the one
     pass, and ``path`` reads one optimal path of a run back by rerunning the
-    kernel from its start over the run's points.
+    kernel from its start over the run's points: the layers of the
+    all-starts pass take w * (w + 1) * 2**(w - 2) cells in all, so the table
+    keeps none.
     """
 
     def __init__(self, pts: tuple, ranges: np.ndarray, dmat: np.ndarray):
@@ -203,14 +221,23 @@ class SingleSlotTable:
     def run(self, lo: int, hi: int) -> np.ndarray:
         """best[k, d, c] = shortest pts[c] -> pts[d] path over exactly k of
         the points pts[lo..hi] (INF when impossible), for k = 0 .. hi - lo + 1,
-        with c and d counted from lo."""
+        or up to the table's ``max_visits`` if that is smaller, with c and d
+        counted from lo."""
         return self._ranges[lo, hi, : hi - lo + 2, lo : hi + 1, lo : hi + 1]
 
     def path(self, lo: int, hi: int, c: int, d: int, k: int) -> tuple | None:
         """Point ids of one shortest pts[c] -> pts[d] path over exactly k of
         the points pts[lo..hi] (positions in sweep order), or None if there
         is none; ties as ``_read_path`` breaks them."""
-        return _read_path(self.pts, self._dmat, lo, hi, c, d, k)
+        if not (lo <= c <= hi and lo <= d <= hi and 1 <= k <= hi - lo + 1) or (k == 1) != (c == d):
+            return None
+        if k == 1:
+            return (self.pts[c],)
+        order = [p for p in range(lo, hi + 1) if p != c]
+        dmat = self._dmat[np.ix_(order, order)]
+        layers = tuple(itertools.islice(_held_karp(dmat, self._dmat[c, order]), k - 1))
+        walk = _read_path(layers, [self.pts[p] for p in order], dmat, len(order), order.index(d))
+        return None if walk is None else (self.pts[c],) + walk
 
 
 class RootedTable:
@@ -220,53 +247,63 @@ class RootedTable:
     position in it; both methods take positions in that order.
     ``run(hi)`` gives the optimal lengths of the paths from the root over
     the prefix pts[0..hi], read from the prefixes of the one pass, and
-    ``path`` reads one optimal path back by rerunning the kernel from the
-    root over the prefix's points, as ``SingleSlotTable.path`` does.
+    ``path`` reads one optimal path back from the layers of that same pass,
+    which the table keeps: the pass has one start, so its layers hold one
+    cell per (set, last point), 8.9 MB in all at 18 points.
     """
 
-    def __init__(self, pts: tuple, root: int, prefixes: np.ndarray, dmat: np.ndarray):
+    def __init__(self, pts: tuple, root: int, prefixes: np.ndarray, layers: tuple, dmat: np.ndarray):
         self.pts = pts
         self.root = root
         self._prefixes = prefixes
+        self._layers = layers
         self._dmat = dmat
 
     def run(self, hi: int) -> np.ndarray:
         """best[k, d] = shortest pts[root] -> pts[d] path over exactly k of
         the points pts[0..hi] (INF when impossible, and everywhere when hi is
-        left of the root), for k = 0 .. hi + 1 and d = 0 .. hi."""
+        left of the root), for k = 0 .. hi + 1, or up to the table's
+        ``max_visits`` if that is smaller, and d = 0 .. hi."""
         return self._prefixes[hi, : hi + 2, : hi + 1]
 
     def path(self, hi: int, d: int, k: int) -> tuple | None:
         """Point ids of one shortest pts[root] -> pts[d] path over exactly k
         of the points pts[0..hi], or None if there is none; ties as
-        ``_read_path`` breaks them."""
-        return _read_path(self.pts, self._dmat, 0, hi, self.root, d, k)
+        ``_read_path`` breaks them.  Raises InputError when k is over the
+        counts the table holds."""
+        r = self.root
+        if not (r <= hi and 0 <= d <= hi and 1 <= k <= hi + 1) or (k == 1) != (r == d):
+            return None
+        if k >= self._prefixes.shape[1]:
+            raise InputError(f"the table holds paths over at most {self._prefixes.shape[1] - 1} points")
+        if k == 1:
+            return (self.pts[r],)
+        # The pass ran from the root over the other points in sweep order, so
+        # those inside the prefix are its first hi points.
+        others = [p for p in range(len(self.pts)) if p != r]
+        ids = [self.pts[p] for p in others]
+        walk = _read_path(self._layers[: k - 1], ids, self._dmat[np.ix_(others, others)], hi, others.index(d))
+        return None if walk is None else (self.pts[r],) + walk
 
 
-def _read_path(pts: tuple, dmat: np.ndarray, lo: int, hi: int, c: int, d: int, k: int):
-    """Point ids of one shortest pts[c] -> pts[d] path over exactly k of the
-    points pts[lo..hi], or None if there is none, by rerunning the kernel
-    from c over the run's other points; ``dmat`` holds the distances
-    between the positions of ``pts``.
+def _read_path(layers: tuple, ids: list, dmat: np.ndarray, m: int, d: int) -> tuple | None:
+    """Ids of one shortest path of a start-mode ``_held_karp`` pass that
+    visits len(layers) of the pass's first m points after its start and
+    ends at its point d, or None if there is none; the start is left out.
+
+    ``layers`` are the first layers of that pass, ``ids`` the ids of its
+    points and ``dmat`` the distances between them.  Each layer's sets are
+    in ascending-mask order, so the C(m, size) sets inside the first m
+    points lead each layer, and a set's subsets are inside too.
 
     Ties go where ``solve_window`` sends them: the visited set whose sorted
-    ids come first, then, stepping back from pts[d], the tied predecessor
-    with the largest id.  Both compare the same sums.
+    ids come first, then, stepping back from d, the tied predecessor with
+    the largest id.  Both compare the same sums.
     """
-    if not (lo <= c <= hi and lo <= d <= hi and 1 <= k <= hi - lo + 1) or (k == 1) != (c == d):
-        return None
-    if k == 1:
-        return (pts[c],)
-    # Rerun the kernel from c; its sets hold the run's other points.
-    order = [r for r in range(lo, hi + 1) if r != c]
-    ids = [pts[r] for r in order]
-    start = dmat[c, order]
-    dmat = dmat[np.ix_(order, order)]
-    layers = tuple(itertools.islice(_held_karp(dmat, start), k - 1))
-    top, d = k - 2, order.index(d)
-    where, plans = _layers(len(order))
-    rows, pos, _ = plans[top]
-    sel = np.flatnonzero(rows >> d & 1 == 1)
+    plans = _layers(len(ids))
+    top = len(layers) - 1
+    pos = plans[top][0][:, : math.comb(m, top + 1)]
+    sel = np.flatnonzero((pos == d).any(0))
     costs = layers[top][(pos[:, sel] < d).sum(0), 0, sel]
     best = costs.min(initial=INF)
     if best == INF:
@@ -274,28 +311,30 @@ def _read_path(pts: tuple, dmat: np.ndarray, lo: int, hi: int, c: int, d: int, k
     row = min(sel[costs == best].tolist(), key=lambda r: sorted(ids[p] for p in pos[:, r]))
     walk = [d]
     for i in range(top, 0, -1):
-        cur, here = walk[-1], pos[:, row]
-        target = layers[i][np.flatnonzero(here == cur)[0], 0, row]
-        row = where[rows[row] ^ (1 << cur)]
-        rows, pos, _ = plans[i - 1]
-        here = pos[:, row]
+        cur, (pos, _, preds) = walk[-1], plans[i]
+        j = np.flatnonzero(pos[:, row] == cur)[0]
+        target = layers[i][j, 0, row]
+        row = preds[j, row]
+        here = plans[i - 1][0][:, row]
         ties = here[layers[i - 1][:, 0, row] + dmat[here, cur] == target]
         walk.append(max(ties.tolist(), key=ids.__getitem__))
-    return (pts[c],) + tuple(ids[r] for r in reversed(walk))
+    return tuple(ids[p] for p in reversed(walk))
 
 
-#: A table build takes the plans of its window size and each ``path`` rerun
-#: those of its run size less one, so every size up to the cap is kept: the
-#: plans of 18 points take about 5 MB, and all sizes up to it about 10 MB.
-@functools.lru_cache(maxsize=DEFAULT_POINT_CAP)
+#: A table build takes the plans of its window size, a rooted build and each
+#: ``path`` rerun those of their size less one, and a one-point rooted build
+#: those of size 0, so every size from 0 to the cap is kept: the plans of 18
+#: points take 11.8 MB, most of it predecessor rows, and all sizes 22.4 MB.
+@functools.lru_cache(maxsize=DEFAULT_POINT_CAP + 1)
 def _layers(w: int) -> tuple:
-    """(where, plans): the index plans of a w-point pass.
+    """The index plans of a w-point pass, one per set size.
 
-    plans[k - 1] describes the k-point sets: their masks in ascending order,
-    the points of each set by position (a (k, rows) array, ascending down
-    each column), and source[j, s], the position that start position s takes
-    when the point at position j is removed (-1 when s is j).  where[mask]
-    is the row of a mask within its own layer.
+    plans[k - 1] = (ids, source, preds) describes the k-point sets, in
+    ascending order of their masks: the points of each set by position (a
+    (k, rows) array, ascending down each column), source[j, s], the position
+    that start position s takes when the point at position j is removed (-1
+    when s is j), and preds[j, row], the row of that smaller set in its own
+    layer (0, the empty set, for k = 1).
     """
     # Popcount and highest point of every mask (-1 for the empty set), built
     # by doubling so that no temporary takes more than a byte a mask.
@@ -304,7 +343,7 @@ def _layers(w: int) -> tuple:
     for i in range(w):
         popcount[1 << i : 2 << i] = popcount[: 1 << i] + 1
         high[1 << i : 2 << i] = i
-    where = np.empty(1 << w, dtype=np.int32)
+    where = np.zeros(1 << w, dtype=np.int32)  # the row of a mask in its layer
     plans = []
     for k in range(1, w + 1):
         rows = np.flatnonzero(popcount == k)
@@ -315,8 +354,9 @@ def _layers(w: int) -> tuple:
             ids[p] = high[rest & -rest]
             rest &= rest - 1
         j, s = np.ogrid[:k, :k]
-        plans.append((rows, ids, np.where(s == j, -1, s - (s > j))))
-    return where, tuple(plans)
+        preds = where[rows ^ 1 << ids.astype(np.intp)]
+        plans.append((ids, np.where(s == j, -1, s - (s > j)), preds))
+    return tuple(plans)
 
 
 def _chunks(rows: int, cells: int):
@@ -336,43 +376,46 @@ def _held_karp(dmat: np.ndarray, start: np.ndarray | None = None):
     layer has k * k * C(w, k) cells.
 
     Given ``start``, the distances from a start point outside ``dmat`` to
-    each of its points, as ``SingleSlotTable.path`` runs it, every path
-    begins at that point instead: layer k - 1 holds paths over k + 1
-    points, and it has one start column.
+    each of its points, as a rooted table and ``SingleSlotTable.path`` run
+    it, every path begins at that point instead: layer k - 1 holds paths
+    over k + 1 points, and it has one start column.
 
     A set ending at position j has one predecessor set, itself without that
     point, in which the start moves down one position when it lay above j.
     So each layer is one min-plus step over the (last, start) columns of the
-    one before, taken over chunks of rows.
+    one before, taken over chunks of rows.  With one start the minimum is
+    the grown layer itself; with all starts it is remapped to the starts of
+    the grown sets.
     """
     w = dmat.shape[0]
     layer = np.zeros((1, 1, w)) if start is None else start.reshape(1, 1, w)
-    where, plans = _layers(w)
+    plans = _layers(w)
     yield layer
     for k in range(1, w):
-        rows, ids, source = plans[k]
-        if start is not None:
-            source = np.zeros((k + 1, 1), dtype=np.intp)
+        ids, source, preds = plans[k]
         starts = layer.shape[1]
-        grown = np.empty((k + 1, source.shape[1], len(rows)))
-        for part in _chunks(len(rows), k * starts * (k + 1)):
-            ends = ids[:, part]
-            pred = where[rows[part] ^ (1 << ends.astype(np.intp))]
+        grown = np.empty((k + 1, 1 if start is not None else k + 1, ids.shape[1]))
+        for part in _chunks(ids.shape[1], k * starts * (k + 1)):
+            pred = preds[:, part]
             steps = np.take(layer, pred, axis=2)
-            steps += dmat[np.take(plans[k - 1][1], pred, axis=1), ends][:, None]
-            best = np.empty((starts + 1, *pred.shape))
-            np.min(steps, axis=0, out=best[:starts])
-            best[starts] = INF  # where source is -1
-            grown[:, :, part] = best[source, np.arange(k + 1)[:, None]]
+            steps += dmat[np.take(plans[k - 1][0], pred, axis=1), ids[:, part]][:, None]
+            if start is not None:
+                np.min(steps, axis=0, out=grown[:, :, part].transpose(1, 0, 2))
+            else:
+                best = np.empty((starts + 1, *pred.shape))
+                np.min(steps, axis=0, out=best[:starts])
+                best[starts] = INF  # where source is -1
+                grown[:, :, part] = best[source, np.arange(k + 1)[:, None]]
         layer = None  # free the layer before the caller reads the next
         layer = grown
         yield layer
 
 
-def _held_karp_ranges(dmat: np.ndarray) -> np.ndarray:
+def _held_karp_ranges(dmat: np.ndarray, max_visits: int | None = None) -> np.ndarray:
     """ranges[lo, hi, k, last, start]: the shortest start -> last path over
-    exactly k of the points lo..hi (INF when lo > hi or no such path), from
-    one all-starts ``_held_karp`` pass.
+    exactly k of the points lo..hi (INF when lo > hi or no such path), for
+    k = 0 .. min(w, max_visits), from one all-starts ``_held_karp`` pass
+    that stops after its ``max_visits``-point layer.
 
     Each layer's cells are folded by ``np.minimum.at`` into the entry of
     their set's (lowest, highest) point and their (last, start) points as
@@ -381,13 +424,14 @@ def _held_karp_ranges(dmat: np.ndarray) -> np.ndarray:
     at most hi, so a prefix-min over (lo, hi) yields every run's table.
     """
     w = dmat.shape[0]
-    ranges = np.full((w, w, w + 1, w, w), INF)
-    plans = _layers(w)[1]
-    for i, layer in enumerate(_held_karp(dmat)):
-        ids = plans[i][1]
+    top = w if max_visits is None else min(w, max_visits)
+    ranges = np.full((w, w, top + 1, w, w), INF)
+    plans = _layers(w)
+    for i, layer in enumerate(itertools.islice(_held_karp(dmat), top)):
+        ids = plans[i][0]
         for part in _chunks(ids.shape[1], ids.shape[0] ** 2):
             pos = ids[:, part].astype(np.intp)
-            at = ((pos[0] * w + pos[-1]) * (w + 1) + len(pos)) * w
+            at = ((pos[0] * w + pos[-1]) * (top + 1) + len(pos)) * w
             at = (at + pos[:, None]) * w + pos
             np.minimum.at(ranges.reshape(-1), at.reshape(-1), layer[:, :, part].reshape(-1))
     for lo in range(w - 2, -1, -1):
@@ -397,30 +441,33 @@ def _held_karp_ranges(dmat: np.ndarray) -> np.ndarray:
     return ranges
 
 
-def _held_karp_prefixes(dmat: np.ndarray, r: int) -> np.ndarray:
-    """prefixes[hi, k, last]: the shortest r -> last path over exactly k of
-    the points 0..hi (INF when there is none), from one ``_held_karp`` pass
-    started at r over the other points.
+def _held_karp_prefixes(dmat: np.ndarray, r: int, max_visits: int | None = None) -> tuple:
+    """(prefixes, layers): prefixes[hi, k, last] is the shortest r -> last
+    path over exactly k of the points 0..hi (INF when there is none), for
+    k = 0 .. min(w, max_visits), and layers are the layers of the one
+    ``_held_karp`` pass started at r over the other points, which stops
+    after its layer of ``max_visits``-point paths.
 
     Each layer's cells are folded by ``np.minimum.at`` into the entry of
-    their set's highest point, r included, and their last point as the
-    layer arrives.  A path lies inside the prefix 0..hi exactly when that
-    highest point is at most hi, so a prefix-min over hi yields every
-    prefix's table.
+    their set's highest point, r included, and their last point.  A path
+    lies inside the prefix 0..hi exactly when that highest point is at most
+    hi, so a prefix-min over hi yields every prefix's table.
     """
     w = dmat.shape[0]
-    prefixes = np.full((w, w + 1, w), INF)
+    top = w if max_visits is None else min(w, max_visits)
+    prefixes = np.full((w, top + 1, w), INF)
     prefixes[r, 1, r] = 0.0  # the root alone
     others = np.array([p for p in range(w) if p != r], dtype=np.intp)
-    plans = _layers(w - 1)[1]
-    layers = _held_karp(dmat[np.ix_(others, others)], dmat[r, others])
-    for (_, ids, _), layer in zip(plans, layers):
+    plans = _layers(w - 1)
+    pass_ = _held_karp(dmat[np.ix_(others, others)], dmat[r, others])
+    layers = tuple(itertools.islice(pass_, top - 1))
+    for (ids, _, _), layer in zip(plans, layers):
         for part in _chunks(ids.shape[1], ids.shape[0]):
             pos = others[ids[:, part]]
-            at = (np.maximum(pos[-1], r) * (w + 1) + len(pos) + 1) * w + pos
+            at = (np.maximum(pos[-1], r) * (top + 1) + len(pos) + 1) * w + pos
             np.minimum.at(prefixes.reshape(-1), at.reshape(-1), layer[:, 0, part].reshape(-1))
     np.minimum.accumulate(prefixes, axis=0, out=prefixes)
-    return prefixes
+    return prefixes, layers
 
 
 def _multi_slot_dp(host: PointSet, pts: list, endpoints: EndpointArrays):

@@ -33,10 +33,12 @@ def rng():
 
 
 class DeltaPrimeSpy(ExactWindowSolver):
-    """The exact oracle, recording (method, delta_prime) of every call."""
+    """The exact oracle, recording (method, delta_prime) of every call and
+    the ``max_visits`` of every table request in ``max_visits``."""
 
     def __init__(self):
         self.seen = []
+        self.max_visits = []
 
     def solve_lengths(self, host, point_ids, endpoints, delta_prime=0.0):
         self.seen.append(("solve_lengths", delta_prime))
@@ -46,13 +48,15 @@ class DeltaPrimeSpy(ExactWindowSolver):
         self.seen.append(("solve_window", delta_prime))
         return super().solve_window(host, point_ids, endpoints, k, delta_prime)
 
-    def single_slot_table(self, host, point_ids, delta_prime=0.0):
+    def single_slot_table(self, host, point_ids, delta_prime=0.0, max_visits=None):
         self.seen.append(("single_slot_table", delta_prime))
-        return super().single_slot_table(host, point_ids, delta_prime)
+        self.max_visits.append(("single_slot_table", max_visits))
+        return super().single_slot_table(host, point_ids, delta_prime, max_visits)
 
-    def rooted_table(self, host, point_ids, root, delta_prime=0.0):
+    def rooted_table(self, host, point_ids, root, delta_prime=0.0, max_visits=None):
         self.seen.append(("rooted_table", delta_prime))
-        return super().rooted_table(host, point_ids, root, delta_prime)
+        self.max_visits.append(("rooted_table", max_visits))
+        return super().rooted_table(host, point_ids, root, delta_prime, max_visits)
 
 
 @pytest.fixture

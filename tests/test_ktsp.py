@@ -90,6 +90,8 @@ def test_table_plumbs_quarter_delta_to_window_oracle(delta_spy):
     pts = PointSet([[0.0, 0], [0.5, 0.4], [1.0, 0]])
     solve_ktsp(pts, 0, 2, 3, delta=0.8, window_solver=delta_spy)
     assert delta_spy.seen == [("rooted_table", 0.2), ("single_slot_table", 0.2)]
+    # The sweep reads no count above k, so both passes may stop there.
+    assert delta_spy.max_visits == [("rooted_table", 3), ("single_slot_table", 3)]
 
 
 def test_optimal_path_window_chain_bounds_cost(rng):
@@ -198,28 +200,38 @@ def test_table_path_is_the_window_oracle_path_tie_for_tie(rng, monkeypatch, no_r
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_rooted_table_is_the_window_table_at_its_root(rng, d):
     # The rooted pass gives the all-starts table's numbers at the root's
-    # start column for every prefix, bit for bit, and the same paths tie for
-    # tie; tie-heavy points include a coincident pair.
+    # start column for every prefix, bit for bit, and its kept layers give
+    # the same paths tie for tie over every prefix; tie-heavy points include
+    # a coincident pair.  A table asked for fewer visits holds the leading
+    # counts and paths of the whole one, and refuses a path over more.
     solver = ExactWindowSolver()
     checked = 0
     for n in (1, 2, 5, 7, 9):
         pts = tie_heavy_points(rng, n, d) if n > 2 else PointSet(rng.random((n, d)))
         table = solver.single_slot_table(pts, range(n))
         for root in range(n):
-            rooted = solver.rooted_table(pts, range(n), root)
-            r = rooted.root
-            assert (rooted.pts, table.pts[r]) == (table.pts, root)
-            assert all(np.isinf(rooted.run(hi)).all() for hi in range(r))
-            for hi in range(r, n):
-                whole = table.run(0, hi)[:, :, r]
-                assert np.array_equal(rooted.run(hi), whole), (n, root, hi)
-            for hi in {r, n - 1}:
-                for e in range(hi + 1):
-                    for k in range(1, hi + 2):
-                        visits = rooted.path(hi, e, k)
-                        assert visits == table.path(0, hi, r, e, k)
-                        checked += visits is not None
-    assert checked > 500, checked
+            r = table.pts.index(root)
+            paths = {
+                (hi, e, k): table.path(0, hi, r, e, k)
+                for hi in range(r, n)
+                for e in range(hi + 1)
+                for k in range(1, hi + 2)
+            }
+            for max_visits in (None, 1, 2, -(-n // 2), n):
+                top = n if max_visits is None else max_visits
+                rooted = solver.rooted_table(pts, range(n), root, max_visits=max_visits)
+                assert (rooted.pts, rooted.root) == (table.pts, r)
+                assert all(np.isinf(rooted.run(hi)).all() for hi in range(r))
+                for hi in range(r, n):
+                    whole = table.run(0, hi)[: top + 1, :, r]
+                    assert np.array_equal(rooted.run(hi), whole), (n, root, max_visits, hi)
+                got = {query: rooted.path(*query) for query in paths if query[2] <= top}
+                assert got == {query: paths[query] for query in got}, (n, root, max_visits)
+                checked += sum(visits is not None for visits in got.values())
+                if top < n:
+                    with pytest.raises(InputError):
+                        rooted.path(n - 1, (r + 1) % n, top + 1)
+    assert checked > 2000, checked
 
 
 class CountingWindowSolver(ExactWindowSolver):

@@ -272,6 +272,8 @@ def test_rooted_bound_table_is_requested_at_zero_delta_prime(delta_spy):
     )
     assert [dp for method, dp in delta_spy.seen if method == "rooted_table"] == [0.0]
     assert "single_slot_table" not in {method for method, _ in delta_spy.seen}
+    # The bound reads every visit count.
+    assert delta_spy.max_visits == [("rooted_table", None)]
 
 
 def scanned_skeletons(inst, k, bounds):

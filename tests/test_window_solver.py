@@ -222,11 +222,18 @@ def held_karp_by_loops(coords):
 def test_every_run_of_one_pass_equals_its_own_table(rng):
     # One pass over a window yields the table of each contiguous run of its
     # sweep order, bitwise equal to a pass over that run's points alone and,
-    # for up to 8 points, to the plain loop.
+    # for up to 8 points, to the plain loop.  A pass asked for fewer visits
+    # yields the leading counts of each run's table.
     for n, d in [(1, 2), (2, 3), (5, 2), (8, 3), (10, 2), (12, 3)]:
         pts = PointSet(rng.random((n, d)))
         table = ExactWindowSolver().single_slot_table(pts, range(n))
         assert table.pts == tuple(int(p) for p in pts.sweep_order)
+        for max_visits in (1, 2, -(-n // 2), n):
+            fewer = ExactWindowSolver().single_slot_table(pts, range(n), max_visits=max_visits)
+            for lo in range(n):
+                for hi in range(lo, n):
+                    whole = table.run(lo, hi)[: max_visits + 1]
+                    assert np.array_equal(fewer.run(lo, hi), whole), (n, max_visits, lo, hi)
         for lo in range(n):
             for hi in range(lo, n):
                 alone = ExactWindowSolver().single_slot_table(pts, table.pts[lo : hi + 1])
@@ -267,8 +274,8 @@ def test_a_fifteen_point_build_stays_under_its_byte_ceiling(monkeypatch):
     # (a step reads one and grows the next; a fold sees one) and, in a step,
     # four float temporaries of a chunk of sets: the steps, the distances
     # added to them, their minimum and its reindexed copy, each at most
-    # CHUNK_BYTES.  SLACK covers the index plans (about 0.6 MB at 15 points)
-    # and the copies of distances.  The smaller second ceiling checks that
+    # CHUNK_BYTES.  SLACK covers the index plans (1.2 MB at 15 points, most
+    # of it predecessor rows) and the copies of distances.  The smaller second ceiling checks that
     # the peak follows it.
     SLACK = 2 << 20
     w = 15
@@ -286,6 +293,46 @@ def test_a_fifteen_point_build_stays_under_its_byte_ceiling(monkeypatch):
         finally:
             tracemalloc.stop()
         assert peak < ranges_bytes + two_layers + 4 * chunk_bytes + SLACK, (chunk_bytes, peak)
+
+
+def test_a_fifteen_point_rooted_build_stays_under_its_byte_ceiling(monkeypatch):
+    # A rooted build holds its prefixes and every layer of its one-start
+    # pass, which the table keeps, and, in a step or a fold, four float-sized
+    # temporaries of a chunk of sets at most, each at most CHUNK_BYTES.
+    # SLACK is the all-starts test's.
+    SLACK = 2 << 20
+    w = 15
+    pts = PointSet(np.random.default_rng(15).random((w, 2)))
+    prefixes_bytes = 8 * w * (w + 1) * w
+    layers_bytes = sum(8 * k * math.comb(w - 1, k) for k in range(1, w))
+    for chunk_bytes in (window_solver.CHUNK_BYTES, 128 << 10):
+        monkeypatch.setattr(window_solver, "CHUNK_BYTES", chunk_bytes)
+        window_solver._layers.cache_clear()
+        tracemalloc.start()
+        try:
+            rooted = ExactWindowSolver().rooted_table(pts, range(w), int(pts.sweep_order[w // 2]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rooted.path(w - 1, 0, w) is not None
+        assert peak < prefixes_bytes + layers_bytes + 4 * chunk_bytes + SLACK, (chunk_bytes, peak)
+
+
+def test_the_plans_of_every_size_up_to_the_cap_stay_cached():
+    # A one-point rooted build asks for size 0, an all-starts build over the
+    # cap's points for the cap; none of them is evicted and rebuilt.
+    sizes = range(window_solver.DEFAULT_POINT_CAP + 1)
+    window_solver._layers.cache_clear()
+    try:
+        for w in sizes:
+            window_solver._layers(w)
+        misses = window_solver._layers.cache_info().misses
+        for w in sizes:
+            window_solver._layers(w)
+        info = window_solver._layers.cache_info()
+        assert (info.currsize, info.misses) == (len(sizes), misses)
+    finally:
+        window_solver._layers.cache_clear()
 
 
 def test_runs_of_a_scattered_request_follow_the_sweep_order(rng):
@@ -389,11 +436,11 @@ class RunAndPathTable:
 class RunAndPathSolver(ExactWindowSolver):
     """The exact oracle, with its tables cut down to ``run`` and ``path``."""
 
-    def single_slot_table(self, host, point_ids, delta_prime=0.0):
-        return RunAndPathTable(super().single_slot_table(host, point_ids, delta_prime))
+    def single_slot_table(self, host, point_ids, delta_prime=0.0, max_visits=None):
+        return RunAndPathTable(super().single_slot_table(host, point_ids, delta_prime, max_visits))
 
-    def rooted_table(self, host, point_ids, root, delta_prime=0.0):
-        return RunAndPathTable(super().rooted_table(host, point_ids, root, delta_prime))
+    def rooted_table(self, host, point_ids, root, delta_prime=0.0, max_visits=None):
+        return RunAndPathTable(super().rooted_table(host, point_ids, root, delta_prime, max_visits))
 
 
 def test_sweeps_read_a_table_only_through_run_and_path():
