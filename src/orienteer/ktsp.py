@@ -33,10 +33,12 @@ right of the source, so ``single_slot_table`` over the points right of the
 source yields their lengths.  No path the sweep reads visits more than k
 points, so both requests pass ``max_visits=k`` and the passes stop there.
 Both tables are read through ``run``, and reconstruction reads each winning
-window's path back from the table that gave its length with ``path``, so a
-swapped-in oracle's tables have to answer ``run`` and ``path`` for counts
-up to k, and nothing more; the oracle may ignore ``max_visits`` and hold
-every count.  A table whose read-back disagrees with its own lengths raises
+window's path back from the table that gave its length with ``path``: the
+rooted table walks back over its kept layers, and the window table builds a
+rooted table over the window's run, rooted at the path's start, and walks
+that.  So a swapped-in oracle's tables have to answer ``run`` and ``path``
+for counts up to k, and nothing more; the oracle may ignore ``max_visits``
+and hold every count.  A table whose read-back disagrees with its own lengths raises
 ConsistencyError.
 
 With an exact window oracle the sweep returns the true optimum; with a

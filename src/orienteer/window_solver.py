@@ -34,20 +34,23 @@ from the root.  Both take ``max_visits``: the pass stops after its layer of
 paths over that many points, so the table holds the counts up to it and no
 more.  The k-TSP sweep asks for its k; the orienteering bound reads every
 count and asks for none.  A swapped-in table may hold more counts than
-asked, since the sweeps read none above ``max_visits``.
+asked, since the sweeps read none above ``max_visits``.  Here a
+``max_visits`` other than None or an int >= 1, or a root outside the
+window, raises InputError.
 
 Both passes are one Held-Karp kernel that stores each layer of visited sets
 of one size compactly, as dp[last, start, set] over the positions of the
 set's own points, so it carries no cell for a point outside the set.  Each
 layer is one vectorised min-plus step over the one before, taken over
-chunks of sets so that no temporary outgrows ``CHUNK_BYTES``, and is folded
-into the table's ranges (or a rooted table's prefixes) as it arrives.  An
-all-starts table then drops the layer, and its ``path`` reads an optimal
-path back by rerunning the kernel from the path's start over the run's
-points.  A rooted pass has one start column, so its table keeps every layer
-(8.9 MB at 18 points) and its ``path`` walks back over those layers' sets
-inside the prefix.  Both walks pick the ties ``solve_window`` would pick,
-so a k-TSP solve reads its paths from its tables' kernel and never calls
+chunks of sets so that no temporary outgrows ``CHUNK_BYTES``.  Each table
+class owns its pass.  An all-starts table folds each layer into its ranges
+as it arrives and then drops it.  A rooted pass has one start column, so
+its table folds every layer into its prefixes and keeps them all (8.9 MB at
+18 points), and reads a path back by walking over those layers' sets inside
+the prefix.  That walk is the module's one read-back: an all-starts table's
+``path`` builds a rooted table over the path's run, rooted at its start,
+and walks that.  The walk picks the ties ``solve_window`` would pick, so a
+k-TSP solve reads its paths from the kernel and never calls
 ``solve_window``.
 """
 
@@ -56,6 +59,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,8 +176,7 @@ class ExactWindowSolver:
         """All-pairs optimal path lengths of every contiguous run of the
         window's points in the host's sweep order, for every visit count up
         to ``max_visits`` (every count when None)."""
-        pts, dmat = self._sweep_window(host, point_ids)
-        return SingleSlotTable(pts, _held_karp_ranges(dmat, max_visits), dmat)
+        return SingleSlotTable(*self._sweep_window(host, point_ids, max_visits), max_visits)
 
     def rooted_table(
         self, host: PointSet, point_ids, root: int, delta_prime: float = 0.0,
@@ -182,13 +185,17 @@ class ExactWindowSolver:
         """All-ends optimal lengths of the paths from ``root`` over every
         prefix of the window's points in the host's sweep order, for every
         visit count up to ``max_visits`` (every count when None)."""
-        pts, dmat = self._sweep_window(host, point_ids)
-        r = pts.index(int(root))
-        return RootedTable(pts, r, *_held_karp_prefixes(dmat, r, max_visits), dmat)
+        pts, dmat = self._sweep_window(host, point_ids, max_visits)
+        if int(root) not in pts:
+            raise InputError(f"root {root} not inside the window")
+        return RootedTable(pts, pts.index(int(root)), dmat, max_visits)
 
-    def _sweep_window(self, host: PointSet, point_ids) -> tuple:
+    def _sweep_window(self, host: PointSet, point_ids, max_visits) -> tuple:
         """The window's ids in the host's sweep order, and the distances
-        between them in that order."""
+        between them in that order, for a table request that asks for
+        ``max_visits``, which must be None or an int >= 1."""
+        if not (max_visits is None or isinstance(max_visits, numbers.Integral) and max_visits >= 1):
+            raise InputError(f"max_visits must be None or an int >= 1, not {max_visits!r}")
         ranks = host.ranks
         pts = tuple(sorted((int(p) for p in point_ids), key=lambda p: ranks[p]))
         self._check_cap(pts)
@@ -204,19 +211,38 @@ class ExactWindowSolver:
 class SingleSlotTable:
     """Exact single-path optima of every contiguous run of a window.
 
-    ``pts`` lists the window in sweep order, and both methods take positions
-    in that order.  The table answers two methods: ``run(lo, hi)`` gives the
-    optimal lengths of the run pts[lo..hi], read from the ranges of the one
-    pass, and ``path`` reads one optimal path of a run back by rerunning the
-    kernel from its start over the run's points: the layers of the
-    all-starts pass take w * (w + 1) * 2**(w - 2) cells in all, so the table
-    keeps none.
+    ``pts`` lists the window in sweep order and ``dmat`` holds the distances
+    between them in that order; both methods take positions in that order.
+    The constructor makes one all-starts ``_held_karp`` pass over the window
+    that stops after its layer of ``max_visits``-point paths.  It folds each
+    layer by ``np.minimum.at`` into the entry of its sets' (lowest, highest)
+    point and their (last, start) points as the layer arrives, then drops
+    it.  A set lies inside the run lo..hi exactly when its lowest point is
+    at least lo and its highest at most hi, so a prefix-min over (lo, hi)
+    yields every run's lengths, which ``run`` reads.
+
+    The layers of the all-starts pass take w * (w + 1) * 2**(w - 2) cells
+    in all, so the table keeps none: ``path`` reads one optimal path of a
+    run from a ``RootedTable`` over that run, rooted at the path's start.
     """
 
-    def __init__(self, pts: tuple, ranges: np.ndarray, dmat: np.ndarray):
+    def __init__(self, pts: tuple, dmat: np.ndarray, max_visits: int | None = None):
         self.pts = pts
-        self._ranges = ranges
         self._dmat = dmat
+        w = len(pts)
+        top = w if max_visits is None else min(w, max_visits)
+        self._ranges = ranges = np.full((w, w, top + 1, w, w), INF)
+        for k, layer in enumerate(itertools.islice(_held_karp(dmat), top), 1):
+            ids = _plan(w, k)[0]
+            for part in _chunks(ids.shape[1], k * k):
+                pos = ids[:, part].astype(np.intp)
+                at = ((pos[0] * w + pos[-1]) * (top + 1) + k) * w
+                at = (at + pos[:, None]) * w + pos
+                np.minimum.at(ranges.reshape(-1), at.reshape(-1), layer[:, :, part].reshape(-1))
+        for lo in range(w - 2, -1, -1):
+            np.minimum(ranges[lo], ranges[lo + 1], out=ranges[lo])
+        for hi in range(1, w):
+            np.minimum(ranges[:, hi], ranges[:, hi - 1], out=ranges[:, hi])
 
     def run(self, lo: int, hi: int) -> np.ndarray:
         """best[k, d, c] = shortest pts[c] -> pts[d] path over exactly k of
@@ -228,36 +254,48 @@ class SingleSlotTable:
     def path(self, lo: int, hi: int, c: int, d: int, k: int) -> tuple | None:
         """Point ids of one shortest pts[c] -> pts[d] path over exactly k of
         the points pts[lo..hi] (positions in sweep order), or None if there
-        is none; ties as ``_read_path`` breaks them."""
+        is none; ties as ``RootedTable.path`` breaks them."""
         if not (lo <= c <= hi and lo <= d <= hi and 1 <= k <= hi - lo + 1) or (k == 1) != (c == d):
             return None
-        if k == 1:
-            return (self.pts[c],)
-        order = [p for p in range(lo, hi + 1) if p != c]
-        dmat = self._dmat[np.ix_(order, order)]
-        layers = tuple(itertools.islice(_held_karp(dmat, self._dmat[c, order]), k - 1))
-        walk = _read_path(layers, [self.pts[p] for p in order], dmat, len(order), order.index(d))
-        return None if walk is None else (self.pts[c],) + walk
+        run = slice(lo, hi + 1)
+        return RootedTable(self.pts[run], c - lo, self._dmat[run, run], k).path(hi - lo, d - lo, k)
 
 
 class RootedTable:
     """Exact single-path optima from one root over every prefix of a window.
 
-    ``pts`` lists the window in sweep order and ``root`` is the root's
-    position in it; both methods take positions in that order.
-    ``run(hi)`` gives the optimal lengths of the paths from the root over
-    the prefix pts[0..hi], read from the prefixes of the one pass, and
-    ``path`` reads one optimal path back from the layers of that same pass,
-    which the table keeps: the pass has one start, so its layers hold one
-    cell per (set, last point), 8.9 MB in all at 18 points.
+    ``pts`` lists the window in sweep order, ``root`` is the root's position
+    in it and ``dmat`` holds the distances between them in that order; both
+    methods take positions in that order.  The constructor makes one
+    start-mode ``_held_karp`` pass from the root over the other points, in
+    ascending position order, that stops after its layer of
+    ``max_visits``-point paths.  It folds each layer by ``np.minimum.at``
+    into the entry of its sets' highest point, the root counted, and their
+    last point; a path lies inside the prefix pts[0..hi] exactly when that
+    point is at most hi, so a prefix-min over hi yields every prefix's
+    lengths, which ``run`` reads.  The pass has one start, so its layers
+    hold one cell per (set, last point), 8.9 MB in all at 18 points, and the
+    table keeps them for ``path`` to walk back over.
     """
 
-    def __init__(self, pts: tuple, root: int, prefixes: np.ndarray, layers: tuple, dmat: np.ndarray):
+    def __init__(self, pts: tuple, root: int, dmat: np.ndarray, max_visits: int | None = None):
         self.pts = pts
         self.root = root
-        self._prefixes = prefixes
-        self._layers = layers
-        self._dmat = dmat
+        w = len(pts)
+        self._top = top = w if max_visits is None else min(w, max_visits)
+        others = np.array([p for p in range(w) if p != root], dtype=np.intp)
+        self._ids = [pts[p] for p in others.tolist()]
+        self._dmat = dmat[np.ix_(others, others)]
+        self._layers = tuple(itertools.islice(_held_karp(self._dmat, dmat[root, others]), top - 1))
+        self._prefixes = prefixes = np.full((w, top + 1, w), INF)
+        prefixes[root, 1, root] = 0.0  # the root alone
+        for k, layer in enumerate(self._layers, 1):
+            ids = _plan(w - 1, k)[0]
+            for part in _chunks(ids.shape[1], k):
+                pos = others[ids[:, part]]
+                at = (np.maximum(pos[-1], root) * (top + 1) + k + 1) * w + pos
+                np.minimum.at(prefixes.reshape(-1), at.reshape(-1), layer[:, 0, part].reshape(-1))
+        np.minimum.accumulate(prefixes, axis=0, out=prefixes)
 
     def run(self, hi: int) -> np.ndarray:
         """best[k, d] = shortest pts[root] -> pts[d] path over exactly k of
@@ -268,95 +306,83 @@ class RootedTable:
 
     def path(self, hi: int, d: int, k: int) -> tuple | None:
         """Point ids of one shortest pts[root] -> pts[d] path over exactly k
-        of the points pts[0..hi], or None if there is none; ties as
-        ``_read_path`` breaks them.  Raises InputError when k is over the
-        counts the table holds."""
+        of the points pts[0..hi], or None if there is none.  Raises
+        InputError when k is over the counts the table holds.
+
+        The walk starts from the layer of (k - 1)-point sets.  The other
+        points inside the prefix are the pass's first hi points, so their
+        C(hi, size) sets lead each layer, whose rows are in ascending-mask
+        order, and a set's subsets are inside too.  Ties go where
+        ``solve_window`` sends them: the visited set whose sorted ids come
+        first, then, stepping back from d, the tied predecessor with the
+        largest id.  Both compare the same sums.
+        """
         r = self.root
         if not (r <= hi and 0 <= d <= hi and 1 <= k <= hi + 1) or (k == 1) != (r == d):
             return None
-        if k >= self._prefixes.shape[1]:
-            raise InputError(f"the table holds paths over at most {self._prefixes.shape[1] - 1} points")
+        if k > self._top:
+            raise InputError(f"the table holds paths over at most {self._top} points")
         if k == 1:
             return (self.pts[r],)
-        # The pass ran from the root over the other points in sweep order, so
-        # those inside the prefix are its first hi points.
-        others = [p for p in range(len(self.pts)) if p != r]
-        ids = [self.pts[p] for p in others]
-        walk = _read_path(self._layers[: k - 1], ids, self._dmat[np.ix_(others, others)], hi, others.index(d))
-        return None if walk is None else (self.pts[r],) + walk
+        ids, dmat, layers, w = self._ids, self._dmat, self._layers, len(self._ids)
+        d -= d > r  # d's position among the other points
+        pos = _plan(w, k - 1)[0][:, : math.comb(hi, k - 1)]
+        sel = np.flatnonzero((pos == d).any(0))
+        costs = layers[k - 2][(pos[:, sel] < d).sum(0), 0, sel]
+        best = costs.min(initial=INF)
+        if best == INF:
+            return None
+        row = min(sel[costs == best].tolist(), key=lambda r: sorted(ids[p] for p in pos[:, r]))
+        walk = [d]
+        for size in range(k - 1, 1, -1):
+            cur, (pos, _, preds) = walk[-1], _plan(w, size)
+            j = np.flatnonzero(pos[:, row] == cur)[0]
+            target = layers[size - 1][j, 0, row]
+            row = preds[j, row]
+            here = _plan(w, size - 1)[0][:, row]
+            ties = here[layers[size - 2][:, 0, row] + dmat[here, cur] == target]
+            walk.append(max(ties.tolist(), key=ids.__getitem__))
+        return (self.pts[r],) + tuple(ids[p] for p in reversed(walk))
 
 
-def _read_path(layers: tuple, ids: list, dmat: np.ndarray, m: int, d: int) -> tuple | None:
-    """Ids of one shortest path of a start-mode ``_held_karp`` pass that
-    visits len(layers) of the pass's first m points after its start and
-    ends at its point d, or None if there is none; the start is left out.
-
-    ``layers`` are the first layers of that pass, ``ids`` the ids of its
-    points and ``dmat`` the distances between them.  Each layer's sets are
-    in ascending-mask order, so the C(m, size) sets inside the first m
-    points lead each layer, and a set's subsets are inside too.
-
-    Ties go where ``solve_window`` sends them: the visited set whose sorted
-    ids come first, then, stepping back from d, the tied predecessor with
-    the largest id.  Both compare the same sums.
-    """
-    plans = _layers(len(ids))
-    top = len(layers) - 1
-    pos = plans[top][0][:, : math.comb(m, top + 1)]
-    sel = np.flatnonzero((pos == d).any(0))
-    costs = layers[top][(pos[:, sel] < d).sum(0), 0, sel]
-    best = costs.min(initial=INF)
-    if best == INF:
-        return None
-    row = min(sel[costs == best].tolist(), key=lambda r: sorted(ids[p] for p in pos[:, r]))
-    walk = [d]
-    for i in range(top, 0, -1):
-        cur, (pos, _, preds) = walk[-1], plans[i]
-        j = np.flatnonzero(pos[:, row] == cur)[0]
-        target = layers[i][j, 0, row]
-        row = preds[j, row]
-        here = plans[i - 1][0][:, row]
-        ties = here[layers[i - 1][:, 0, row] + dmat[here, cur] == target]
-        walk.append(max(ties.tolist(), key=ids.__getitem__))
-    return tuple(ids[p] for p in reversed(walk))
-
-
-#: A table build takes the plans of its window size, a rooted build and each
-#: ``path`` rerun those of their size less one, and a one-point rooted build
-#: those of size 0, so every size from 0 to the cap is kept: the plans of 18
-#: points take 11.8 MB, most of it predecessor rows, and all sizes 22.4 MB.
-@functools.lru_cache(maxsize=DEFAULT_POINT_CAP + 1)
-def _layers(w: int) -> tuple:
-    """The index plans of a w-point pass, one per set size.
-
-    plans[k - 1] = (ids, source, preds) describes the k-point sets, in
-    ascending order of their masks: the points of each set by position (a
-    (k, rows) array, ascending down each column), source[j, s], the position
-    that start position s takes when the point at position j is removed (-1
-    when s is j), and preds[j, row], the row of that smaller set in its own
-    layer (0, the empty set, for k = 1).
-    """
-    # Popcount and highest point of every mask (-1 for the empty set), built
-    # by doubling so that no temporary takes more than a byte a mask.
+@functools.lru_cache(maxsize=DEFAULT_POINT_CAP)
+def _masks(w: int) -> tuple:
+    """(popcount, where) of every mask of w points: its number of points
+    and its row among the masks of its size in ascending order, each half
+    of the masks built from the one below it."""
     popcount = np.zeros(1 << w, dtype=np.int8)
-    high = np.full(1 << w, -1, dtype=np.int8)
+    where = np.zeros(1 << w, dtype=np.int32)
     for i in range(w):
+        # A mask whose highest point is i follows the C(i, size) masks of its size below it.
+        below = np.array([math.comb(i, size) for size in range(i + 2)], dtype=np.int32)
+        where[1 << i : 2 << i] = below[popcount[: 1 << i] + 1] + where[: 1 << i]
         popcount[1 << i : 2 << i] = popcount[: 1 << i] + 1
-        high[1 << i : 2 << i] = i
-    where = np.zeros(1 << w, dtype=np.int32)  # the row of a mask in its layer
-    plans = []
-    for k in range(1, w + 1):
-        rows = np.flatnonzero(popcount == k)
-        where[rows] = np.arange(len(rows))
-        ids = np.empty((k, len(rows)), dtype=np.int8)
-        rest = rows.copy()
-        for p in range(k):  # peel the lowest point off each set
-            ids[p] = high[rest & -rest]
-            rest &= rest - 1
-        j, s = np.ogrid[:k, :k]
-        preds = where[rows ^ 1 << ids.astype(np.intp)]
-        plans.append((ids, np.where(s == j, -1, s - (s > j)), preds))
-    return tuple(plans)
+    return popcount, where
+
+
+#: A pass over w points asks for the plans of the set sizes it reaches, so
+#: every pair 1 <= k <= w <= the cap is kept: all 171 take 22.4 MB, most of
+#: it predecessor rows.
+@functools.lru_cache(maxsize=math.comb(DEFAULT_POINT_CAP + 1, 2))
+def _plan(w: int, k: int) -> tuple:
+    """The index plan (ids, source, preds) of the k-point sets of a w-point
+    pass, in ascending order of their masks: the points of each set by
+    position (a (k, rows) array, ascending down each column), source[j, s],
+    the position that start position s takes when the point at position j
+    is removed (-1 when s is j), and preds[j, row], the row of that smaller
+    set in its own layer (0, the empty set, for k = 1).
+    """
+    popcount, where = _masks(w)
+    rows = np.flatnonzero(popcount == k)
+    ids = np.empty((k, len(rows)), dtype=np.int8)
+    preds = np.empty((k, len(rows)), dtype=np.int32)
+    rest = rows.copy()
+    for p in range(k):  # peel the lowest point off each set
+        low = rest & -rest
+        ids[p], preds[p] = popcount[low - 1], where[rows ^ low]  # low - 1 = 2**i - 1 has i points
+        rest ^= low
+    j, s = np.ogrid[:k, :k]
+    return ids, np.where(s == j, -1, s - (s > j)), preds
 
 
 def _chunks(rows: int, cells: int):
@@ -370,15 +396,16 @@ def _held_karp(dmat: np.ndarray, start: np.ndarray | None = None):
     """Yield the Held-Karp layers of a pass over the w points of ``dmat``.
 
     Layer k - 1 holds dp[last, start, row]: the shortest path that visits
-    exactly the k points of set ``row`` of ``_layers(w)``, starts at the
+    exactly the k points of set ``row`` of ``_plan(w, k)``, starts at the
     point in position ``start`` of that set and ends at the one in position
     ``last`` (INF when there is none).  Only members are stored, so the
-    layer has k * k * C(w, k) cells.
+    layer has k * k * C(w, k) cells.  A step asks only for the plans of the
+    sizes it reads, so a pass its caller stops early builds no others.
 
     Given ``start``, the distances from a start point outside ``dmat`` to
-    each of its points, as a rooted table and ``SingleSlotTable.path`` run
-    it, every path begins at that point instead: layer k - 1 holds paths
-    over k + 1 points, and it has one start column.
+    each of its points, as a rooted table runs it, every path begins at that
+    point instead: layer k - 1 holds paths over k + 1 points, and it has one
+    start column.
 
     A set ending at position j has one predecessor set, itself without that
     point, in which the start moves down one position when it lay above j.
@@ -389,16 +416,15 @@ def _held_karp(dmat: np.ndarray, start: np.ndarray | None = None):
     """
     w = dmat.shape[0]
     layer = np.zeros((1, 1, w)) if start is None else start.reshape(1, 1, w)
-    plans = _layers(w)
     yield layer
     for k in range(1, w):
-        ids, source, preds = plans[k]
+        ids, source, preds = _plan(w, k + 1)
         starts = layer.shape[1]
         grown = np.empty((k + 1, 1 if start is not None else k + 1, ids.shape[1]))
         for part in _chunks(ids.shape[1], k * starts * (k + 1)):
             pred = preds[:, part]
             steps = np.take(layer, pred, axis=2)
-            steps += dmat[np.take(plans[k - 1][0], pred, axis=1), ids[:, part]][:, None]
+            steps += dmat[np.take(_plan(w, k)[0], pred, axis=1), ids[:, part]][:, None]
             if start is not None:
                 np.min(steps, axis=0, out=grown[:, :, part].transpose(1, 0, 2))
             else:
@@ -409,65 +435,6 @@ def _held_karp(dmat: np.ndarray, start: np.ndarray | None = None):
         layer = None  # free the layer before the caller reads the next
         layer = grown
         yield layer
-
-
-def _held_karp_ranges(dmat: np.ndarray, max_visits: int | None = None) -> np.ndarray:
-    """ranges[lo, hi, k, last, start]: the shortest start -> last path over
-    exactly k of the points lo..hi (INF when lo > hi or no such path), for
-    k = 0 .. min(w, max_visits), from one all-starts ``_held_karp`` pass
-    that stops after its ``max_visits``-point layer.
-
-    Each layer's cells are folded by ``np.minimum.at`` into the entry of
-    their set's (lowest, highest) point and their (last, start) points as
-    the layer arrives, and the layer is then dropped.  A set lies inside the
-    run lo..hi exactly when its lowest point is at least lo and its highest
-    at most hi, so a prefix-min over (lo, hi) yields every run's table.
-    """
-    w = dmat.shape[0]
-    top = w if max_visits is None else min(w, max_visits)
-    ranges = np.full((w, w, top + 1, w, w), INF)
-    plans = _layers(w)
-    for i, layer in enumerate(itertools.islice(_held_karp(dmat), top)):
-        ids = plans[i][0]
-        for part in _chunks(ids.shape[1], ids.shape[0] ** 2):
-            pos = ids[:, part].astype(np.intp)
-            at = ((pos[0] * w + pos[-1]) * (top + 1) + len(pos)) * w
-            at = (at + pos[:, None]) * w + pos
-            np.minimum.at(ranges.reshape(-1), at.reshape(-1), layer[:, :, part].reshape(-1))
-    for lo in range(w - 2, -1, -1):
-        np.minimum(ranges[lo], ranges[lo + 1], out=ranges[lo])
-    for hi in range(1, w):
-        np.minimum(ranges[:, hi], ranges[:, hi - 1], out=ranges[:, hi])
-    return ranges
-
-
-def _held_karp_prefixes(dmat: np.ndarray, r: int, max_visits: int | None = None) -> tuple:
-    """(prefixes, layers): prefixes[hi, k, last] is the shortest r -> last
-    path over exactly k of the points 0..hi (INF when there is none), for
-    k = 0 .. min(w, max_visits), and layers are the layers of the one
-    ``_held_karp`` pass started at r over the other points, which stops
-    after its layer of ``max_visits``-point paths.
-
-    Each layer's cells are folded by ``np.minimum.at`` into the entry of
-    their set's highest point, r included, and their last point.  A path
-    lies inside the prefix 0..hi exactly when that highest point is at most
-    hi, so a prefix-min over hi yields every prefix's table.
-    """
-    w = dmat.shape[0]
-    top = w if max_visits is None else min(w, max_visits)
-    prefixes = np.full((w, top + 1, w), INF)
-    prefixes[r, 1, r] = 0.0  # the root alone
-    others = np.array([p for p in range(w) if p != r], dtype=np.intp)
-    plans = _layers(w - 1)
-    pass_ = _held_karp(dmat[np.ix_(others, others)], dmat[r, others])
-    layers = tuple(itertools.islice(pass_, top - 1))
-    for (ids, _, _), layer in zip(plans, layers):
-        for part in _chunks(ids.shape[1], ids.shape[0]):
-            pos = others[ids[:, part]]
-            at = (np.maximum(pos[-1], r) * (top + 1) + len(pos) + 1) * w + pos
-            np.minimum.at(prefixes.reshape(-1), at.reshape(-1), layer[:, 0, part].reshape(-1))
-    np.minimum.accumulate(prefixes, axis=0, out=prefixes)
-    return prefixes, layers
 
 
 def _multi_slot_dp(host: PointSet, pts: list, endpoints: EndpointArrays):

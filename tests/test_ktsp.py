@@ -169,9 +169,9 @@ def test_tie_order_picks_a_fixed_optimum(coords, k, visits):
 
 @pytest.mark.parametrize("no_room", [False, True])
 def test_table_path_is_the_window_oracle_path_tie_for_tie(rng, monkeypatch, no_room):
-    # Every path request reruns the kernel from its start.  With no room
-    # (a one-byte chunk ceiling) the build and each rerun step over chunks of
-    # one set each.
+    # Every path request reads its path from a rooted pass over its run,
+    # started at the path's start.  With no room (a one-byte chunk ceiling)
+    # the build and each rooted pass step over chunks of one set each.
     if no_room:
         monkeypatch.setattr(window_solver, "CHUNK_BYTES", 1)
     solver = ExactWindowSolver()

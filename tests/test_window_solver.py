@@ -178,8 +178,8 @@ def test_batched_table_agrees_with_per_query(rng, solver):
 
 def test_table_chunked_by_start_equals_one_chunk(rng, monkeypatch):
     # A one-byte chunk ceiling forces chunks of one set each, in the build
-    # and in the kernel reruns of ``path``; the runs and the paths read back
-    # equal those of the default chunks.
+    # and in the rooted pass that ``path`` makes over each run; the runs and
+    # the paths read back equal those of the default chunks.
     pts = PointSet(rng.random((9, 2)))
     whole = ExactWindowSolver().single_slot_table(pts, range(9))
     paths = {
@@ -223,17 +223,30 @@ def test_every_run_of_one_pass_equals_its_own_table(rng):
     # One pass over a window yields the table of each contiguous run of its
     # sweep order, bitwise equal to a pass over that run's points alone and,
     # for up to 8 points, to the plain loop.  A pass asked for fewer visits
-    # yields the leading counts of each run's table.
-    for n, d in [(1, 2), (2, 3), (5, 2), (8, 3), (10, 2), (12, 3)]:
-        pts = PointSet(rng.random((n, d)))
+    # yields the leading counts of each run's table and, for up to 8 points,
+    # the same paths over those counts; the half-grid points make many of
+    # those paths tie.
+    shapes = [(1, 2), (2, 3), (5, 2), (8, 3), (10, 2), (12, 3)]
+    for pts in [PointSet(rng.random(shape)) for shape in shapes] + [PointSet(TIE_GRID)]:
+        n = len(pts)
         table = ExactWindowSolver().single_slot_table(pts, range(n))
         assert table.pts == tuple(int(p) for p in pts.sweep_order)
+        paths = {}
         for max_visits in (1, 2, -(-n // 2), n):
             fewer = ExactWindowSolver().single_slot_table(pts, range(n), max_visits=max_visits)
             for lo in range(n):
                 for hi in range(lo, n):
                     whole = table.run(lo, hi)[: max_visits + 1]
                     assert np.array_equal(fewer.run(lo, hi), whole), (n, max_visits, lo, hi)
+                    if n > 8:
+                        continue
+                    for c in range(lo, hi + 1):
+                        for e in range(lo, hi + 1):
+                            for k in range(1, min(max_visits, hi - lo + 1) + 1):
+                                query = (lo, hi, c, e, k)
+                                if query not in paths:
+                                    paths[query] = table.path(*query)
+                                assert fewer.path(*query) == paths[query], (n, max_visits, query)
         for lo in range(n):
             for hi in range(lo, n):
                 alone = ExactWindowSolver().single_slot_table(pts, table.pts[lo : hi + 1])
@@ -275,7 +288,8 @@ def test_a_fifteen_point_build_stays_under_its_byte_ceiling(monkeypatch):
     # four float temporaries of a chunk of sets: the steps, the distances
     # added to them, their minimum and its reindexed copy, each at most
     # CHUNK_BYTES.  SLACK covers the index plans (1.2 MB at 15 points, most
-    # of it predecessor rows) and the copies of distances.  The smaller second ceiling checks that
+    # of it predecessor rows, and 0.2 MB of per-mask arrays) and the copies
+    # of distances.  The smaller second ceiling checks that
     # the peak follows it.
     SLACK = 2 << 20
     w = 15
@@ -285,7 +299,8 @@ def test_a_fifteen_point_build_stays_under_its_byte_ceiling(monkeypatch):
     two_layers = max(map(sum, zip(layer_bytes, layer_bytes[1:])))
     for chunk_bytes in (window_solver.CHUNK_BYTES, 128 << 10):
         monkeypatch.setattr(window_solver, "CHUNK_BYTES", chunk_bytes)
-        window_solver._layers.cache_clear()
+        window_solver._plan.cache_clear()
+        window_solver._masks.cache_clear()
         tracemalloc.start()
         try:
             ExactWindowSolver().single_slot_table(pts, range(w))
@@ -307,7 +322,8 @@ def test_a_fifteen_point_rooted_build_stays_under_its_byte_ceiling(monkeypatch):
     layers_bytes = sum(8 * k * math.comb(w - 1, k) for k in range(1, w))
     for chunk_bytes in (window_solver.CHUNK_BYTES, 128 << 10):
         monkeypatch.setattr(window_solver, "CHUNK_BYTES", chunk_bytes)
-        window_solver._layers.cache_clear()
+        window_solver._plan.cache_clear()
+        window_solver._masks.cache_clear()
         tracemalloc.start()
         try:
             rooted = ExactWindowSolver().rooted_table(pts, range(w), int(pts.sweep_order[w // 2]))
@@ -319,20 +335,63 @@ def test_a_fifteen_point_rooted_build_stays_under_its_byte_ceiling(monkeypatch):
 
 
 def test_the_plans_of_every_size_up_to_the_cap_stay_cached():
-    # A one-point rooted build asks for size 0, an all-starts build over the
-    # cap's points for the cap; none of them is evicted and rebuilt.
-    sizes = range(window_solver.DEFAULT_POINT_CAP + 1)
-    window_solver._layers.cache_clear()
+    # Every pass over up to the cap's points asks for the plans of the set
+    # sizes it reaches; none of them is evicted and rebuilt.
+    cap = window_solver.DEFAULT_POINT_CAP
+    pairs = [(w, k) for w in range(1, cap + 1) for k in range(1, w + 1)]
+    window_solver._plan.cache_clear()
+    window_solver._masks.cache_clear()
     try:
-        for w in sizes:
-            window_solver._layers(w)
-        misses = window_solver._layers.cache_info().misses
-        for w in sizes:
-            window_solver._layers(w)
-        info = window_solver._layers.cache_info()
-        assert (info.currsize, info.misses) == (len(sizes), misses)
+        for pair in pairs:
+            window_solver._plan(*pair)
+        misses = window_solver._plan.cache_info().misses, window_solver._masks.cache_info().misses
+        for pair in pairs:
+            window_solver._plan(*pair)
+        for w in range(1, cap + 1):
+            window_solver._masks(w)
+        plan, masks = window_solver._plan.cache_info(), window_solver._masks.cache_info()
+        assert (plan.currsize, masks.currsize) == (len(pairs), cap) == (171, 18)
+        assert (plan.misses, masks.misses) == misses
     finally:
-        window_solver._layers.cache_clear()
+        window_solver._plan.cache_clear()
+        window_solver._masks.cache_clear()
+
+
+def test_a_pass_stopped_early_builds_only_the_plans_it_reads():
+    # A 12-point all-starts pass stopped after its 4-point layer reads the
+    # plans of sizes 1 to 4; a rooted pass over the other 11 points, stopped
+    # after its paths over 4 points, those of sizes 1 to 3.
+    pts = PointSet(np.random.default_rng(12).random((12, 2)))
+    window_solver._plan.cache_clear()
+    try:
+        ExactWindowSolver().single_slot_table(pts, range(12), max_visits=4)
+        ExactWindowSolver().rooted_table(pts, range(12), 5, max_visits=4)
+        built = window_solver._plan.cache_info()
+        for pair in [(12, 1), (12, 2), (12, 3), (12, 4), (11, 1), (11, 2), (11, 3)]:
+            window_solver._plan(*pair)
+        info = window_solver._plan.cache_info()
+        assert (built.currsize, info.currsize, info.misses) == (7, 7, built.misses)
+    finally:
+        window_solver._plan.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "method, args, max_visits",
+    [
+        ("rooted_table", (0,), 0),
+        ("rooted_table", (0,), -1),
+        ("rooted_table", (0,), 2.0),
+        ("rooted_table", (7,), None),  # a root outside the window
+        ("single_slot_table", (), 0),
+        ("single_slot_table", (), -1),
+        ("single_slot_table", (), "3"),
+    ],
+    ids=["rooted 0", "rooted -1", "rooted 2.0", "root outside", "window 0", "window -1", "window 3"],
+)
+def test_a_table_request_outside_its_domain_raises_input_error(method, args, max_visits):
+    pts = PointSet(np.random.default_rng(8).random((8, 2)))
+    with pytest.raises(InputError):
+        getattr(ExactWindowSolver(), method)(pts, range(6), *args, max_visits=max_visits)
 
 
 def test_runs_of_a_scattered_request_follow_the_sweep_order(rng):
