@@ -3,7 +3,8 @@
 The package solves three rooted Euclidean problems at desk scale:
 
 - ``solve_ktsp``: shortest path between two prescribed endpoints visiting at
-  least k points, via a plane-sweep dynamic program over windows.
+  least k points, as the one-window candidate of the paper's plane sweep
+  over windows: one Held-Karp read from the source over the whole set.
 - ``solve_mktsp``: m paths with prescribed endpoint pairs jointly visiting k
   points, via the multi-path extension of the same sweep.
 - ``solve_orienteering``: maximize points visited under a length budget, by

@@ -1,11 +1,12 @@
-"""Plane-sweep dynamic program for rooted k-TSP.
+"""Rooted k-TSP: one window over the whole set, and the paper's plane sweep.
 
 The space is rotated so the prescribed endpoints sit on the sweep axis with
-the source on the left.  Sweeping points by their (tie-broken) first
-coordinate, the table entry V[i, d, k'] holds the best known length of a path
-that starts at the source, ends at point d, and visits k' points among the
-first i+1 in sweep order.  Entries combine a previously computed path with a
-bridge edge into a window subproblem solved by the window oracle:
+the source on the left, and points are ordered by their (tie-broken) first
+coordinate.  The paper's sweep builds a table V[i, d, k'], the best known
+length of a path that starts at the source, ends at point d, and visits k'
+points among the first i+1 in sweep order.  Entries combine a previously
+computed path with a bridge edge into a window subproblem solved by the
+window oracle:
 
     V[i, d, k'] = min over j < i, c in (p_j, p_i], k'' < k' of
                   W2[j, c, k''] + window(p_{j+1}..p_i, c -> d, k'-k''),
@@ -18,13 +19,28 @@ window(p_0..p_i, source -> d, k'), one per column i at or right of the
 source, which the sweep reads straight into V (0 + x is x), so the trivial
 one-window decomposition is always among the candidates considered.
 
-The sweep stores values only, V and the bridge blocks of W2, each built
-once its column is final, and keeps no record of which candidate won.
-Reconstruction walks back from the end entry and re-derives each choice:
-it rebuilds the candidates of one prefix column at a time, takes the first
-column whose least candidate equals the stored V (the same float sums, so
-the test is exact), and breaks every tie as the fill's ordered minimum
-does.
+The window oracle takes the whole set (it raises CapacityError otherwise),
+and at delta' = 0 its contract, "at most (1 + delta') times the window
+optimum", makes that one-window candidate, window(p_0..p_{n-1}, source ->
+sink, k), the optimum, which nothing else the sweep builds can undercut.
+So ``solve_ktsp`` makes one ``single_slot_table`` request over all points at
+delta' = 0, stopped at k, and reads that one path with ``path``: no V and no
+bridges.  The exact oracle's window table reads a path from a rooted
+Held-Karp pass from the source over the whole set and runs no all-starts
+pass, since nothing reads its ``run``.  The rotation fixes the table's order,
+so the sums and ties are the ones the sweep's first-window read gives.  A
+read-back that is not a source -> sink path over k distinct points raises
+ConsistencyError.
+
+``_sweep_ktsp`` keeps the full sweep, run at delta' = delta/4, as the
+reference the one-window read is tested against and the base for windows
+narrower than the whole set.  It stores values only, V and the bridge
+blocks of W2, each built once its column is final, and keeps no record of
+which candidate won.  Reconstruction walks back from the end entry and
+re-derives each choice: it rebuilds the candidates of one prefix column at a
+time, takes the first column whose least candidate equals the stored V (the
+same float sums, so the test is exact), and breaks every tie as the fill's
+ordered minimum does.
 
 Two table requests serve the whole sweep.  The first window is entered
 only at the source, so ``rooted_table`` over all points, one pass from the
@@ -38,14 +54,16 @@ rooted table walks back over its kept layers, and the window table builds a
 rooted table over the window's run, rooted at the path's start, and walks
 that.  So a swapped-in oracle's tables have to answer ``run`` and ``path``
 for counts up to k, and nothing more; the oracle may ignore ``max_visits``
-and hold every count.  A table whose read-back disagrees with its own lengths raises
-ConsistencyError.
+and hold every count.  A table whose read-back disagrees with its own
+lengths raises ConsistencyError.
 
 With an exact window oracle the sweep returns the true optimum; with a
 (1 + delta')-approximate oracle run at delta' = delta/4 it returns a path of
 length at most OPT + delta * (OPT - |st|), because backward edges charge
 their full length to the excess and merged windows keep those charges
-disjoint.
+disjoint.  A (1 + delta')-approximate whole window alone would not: it may
+exceed OPT by delta' * OPT, which is more than delta * excess when the
+optimum is nearly straight.
 """
 
 from __future__ import annotations
@@ -61,7 +79,7 @@ from .window_solver import ExactWindowSolver
 
 INF = math.inf
 
-#: The window oracle is run at this fraction of the requested accuracy.
+#: The sweep runs the window oracle at this fraction of the requested accuracy.
 WINDOW_ACCURACY_FRACTION = 0.25
 
 
@@ -73,14 +91,16 @@ def solve_ktsp(
     delta: float = 0.25,
     window_solver=None,
 ) -> tuple[Path, float]:
-    """Shortest s-to-t path visiting at least k points, excess-approximately.
+    """Shortest s-to-t path visiting at least k points.
 
-    Returns the reconstructed path and its length measured on the original
-    coordinates.  Raises InfeasibleError when k exceeds n,
-    DegenerateInputError when source equals sink, CapacityError from the
-    window solver when it cannot take the whole set, the sweep's first window,
-    and ConsistencyError when the tables give no path for a feasible instance
-    or their read-back disagrees with their lengths.
+    The answer is the whole set's one-window optimum, so it is exact and
+    meets OPT + delta * excess for every delta > 0.  Returns the path and
+    its length measured on the original coordinates.  Raises
+    InfeasibleError when k exceeds n, DegenerateInputError when source
+    equals sink, CapacityError from the window solver when it cannot take
+    the whole set, and ConsistencyError when the table gives no path for a
+    feasible instance or one that is not a source -> sink path over k
+    distinct points.
     """
     n = points.n
     if not (0 <= source < n and 0 <= sink < n):
@@ -94,17 +114,44 @@ def solve_ktsp(
     if not delta > 0:
         raise InputError("delta must be positive")
     solver = window_solver if window_solver is not None else ExactWindowSolver()
-    delta_prime = WINDOW_ACCURACY_FRACTION * delta
 
     rotated, _ = rotate_to_axis(points, source, sink)
+    ranks = rotated.ranks
+    table = solver.single_slot_table(rotated, range(n), 0.0, max_visits=k)
+    visits = table.path(0, n - 1, int(ranks[source]), int(ranks[sink]), k)
+    return _answer(points, visits, source, sink, k)
+
+
+def _sweep_ktsp(
+    points: PointSet, source: int, sink: int, k: int, delta: float = 0.25, window_solver=None
+) -> tuple[Path, float]:
+    """``solve_ktsp``'s answer by the paper's full sweep over every window
+    decomposition, with the window oracle run at delta' = delta/4.  The
+    input is taken as valid."""
+    solver = window_solver if window_solver is not None else ExactWindowSolver()
+    delta_prime = WINDOW_ACCURACY_FRACTION * delta
+    rotated, _ = rotate_to_axis(points, source, sink)
     V, bridges, rooted, table, dmat = _fill_table(rotated, solver, source, k, delta_prime)
-    end = (n - 1, int(rotated.ranks[sink]), k)
-    if not math.isfinite(V[end]):
+    end = (points.n - 1, int(rotated.ranks[sink]), k)
+    visits = None
+    if math.isfinite(V[end]):
+        visits = _reconstruct(V, bridges, rooted, table, dmat, int(rotated.ranks[source]), end)
+    return _answer(points, visits, source, sink, k)
+
+
+def _answer(points: PointSet, visits, source: int, sink: int, k: int) -> tuple[Path, float]:
+    """The path of the ``visits`` a table read back and its length, or
+    ConsistencyError when there are none or they are not a source -> sink
+    path over k distinct points."""
+    if visits is None:
         # The input checks guarantee a path; only a broken oracle gets here.
         raise ConsistencyError("no feasible entry for a feasible instance")
-
-    visits = _reconstruct(V, bridges, rooted, table, dmat, int(rotated.ranks[source]), end)
-    path = Path(points, tuple(visits))
+    visits = tuple(visits)
+    ends = (visits[:1], visits[-1:]) == ((source,), (sink,))
+    if not ends or len(visits) != k or len(set(visits)) != k:
+        raise ConsistencyError(f"the table read back {visits}, not a {source} -> {sink} path "
+                               f"over {k} distinct points")
+    path = Path(points, visits)
     return path, path_length(path)
 
 

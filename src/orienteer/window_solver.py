@@ -19,22 +19,25 @@ everywhere but never changes a result here.  Swapping in an approximate
 implementation with the same methods leaves the sweeps intact: the oracle
 answers ``solve_lengths``, ``solve_window``, ``single_slot_table`` and
 ``rooted_table``, and the sweeps read a table only through its ``run`` and
-``path`` methods.
+``path`` methods.  The k-TSP solve and the orienteering bound ask at
+delta_prime = 0, where the contract asks for the optimum.
 
-``single_slot_table`` is a batched variant for the one-path case: one
-Held-Karp pass computes optima for *all* endpoint pairs and visit counts of
-every contiguous run of a window's points in sweep order, which is what the
-k-TSP sweep consumes in bulk: one request over the points right of the
-source serves every window after the first, each read with
-``SingleSlotTable.run``.  ``rooted_table`` is the one-start variant: one
-pass from a root over the other points gives optima for every end and
-visit count of every prefix of a window, which serves the sweep's first
-window, entered only at the source, and the orienteering bound, read only
-from the root.  Both take ``max_visits``: the pass stops after its layer of
-paths over that many points, so the table holds the counts up to it and no
-more.  The k-TSP sweep asks for its k; the orienteering bound reads every
-count and asks for none.  A swapped-in table may hold more counts than
-asked, since the sweeps read none above ``max_visits``.  Here a
+``single_slot_table`` is a batched variant for the one-path case: its
+table holds optima for *all* endpoint pairs and visit counts of every
+contiguous run of a window's points in sweep order, read with
+``SingleSlotTable.run``, and one optimal path of any of them, read with
+``SingleSlotTable.path``.  A k-TSP solve asks it at delta' = 0 for the
+whole set and reads one path, from the source to the sink; the k-TSP sweep
+asks it for the points right of the source and reads every window after
+the first from it.  ``rooted_table`` is the one-start variant: one pass
+from a root over the other points gives optima for every end and visit
+count of every prefix of a window, which serves the sweep's first window,
+entered only at the source, and the orienteering bound, read only from the
+root.  Both take ``max_visits``: the pass stops after its layer of paths
+over that many points, so the table holds the counts up to it and no more.
+The k-TSP solve and sweep ask for their k; the orienteering bound reads
+every count and asks for none.  A swapped-in table may hold more counts
+than asked, since no caller reads one above ``max_visits``.  Here a
 ``max_visits`` other than None or an int >= 1, or a root outside the
 window, raises InputError.
 
@@ -43,13 +46,16 @@ of one size compactly, as dp[last, start, set] over the positions of the
 set's own points, so it carries no cell for a point outside the set.  Each
 layer is one vectorised min-plus step over the one before, taken over
 chunks of sets so that no temporary outgrows ``CHUNK_BYTES``.  Each table
-class owns its pass.  An all-starts table folds each layer into its ranges
-as it arrives and then drops it.  A rooted pass has one start column, so
-its table folds every layer into its prefixes and keeps them all (8.9 MB at
-18 points), and reads a path back by walking over those layers' sets inside
-the prefix.  That walk is the module's one read-back: an all-starts table's
-``path`` builds a rooted table over the path's run, rooted at its start,
-and walks that.  The walk picks the ties ``solve_window`` would pick, so a
+class owns its pass, and a table does no work that its reads do not need.
+An all-starts table makes its pass on its first ``run``, folding each
+layer into its ranges as it arrives and then dropping it.  A rooted pass
+has one start column, so its table makes it up front and keeps every
+layer (8.9 MB at 18 points), folds them into its prefixes on its first
+``run`` only, and reads a path back by walking over those layers' sets
+inside the prefix, with no fold.  That walk is the module's one read-back:
+an all-starts table's ``path`` builds a rooted table over the path's run,
+rooted at its start, and walks that, so it pays for neither the all-starts
+pass nor a fold.  The walk picks the ties ``solve_window`` would pick, so a
 k-TSP solve reads its paths from the kernel and never calls
 ``solve_window``.
 """
@@ -213,26 +219,32 @@ class SingleSlotTable:
 
     ``pts`` lists the window in sweep order and ``dmat`` holds the distances
     between them in that order; both methods take positions in that order.
-    The constructor makes one all-starts ``_held_karp`` pass over the window
-    that stops after its layer of ``max_visits``-point paths.  It folds each
-    layer by ``np.minimum.at`` into the entry of its sets' (lowest, highest)
-    point and their (last, start) points as the layer arrives, then drops
-    it.  A set lies inside the run lo..hi exactly when its lowest point is
-    at least lo and its highest at most hi, so a prefix-min over (lo, hi)
-    yields every run's lengths, which ``run`` reads.
+    The first ``run`` makes one all-starts ``_held_karp`` pass over the
+    window that stops after its layer of ``max_visits``-point paths.  It
+    folds each layer by ``np.minimum.at`` into the entry of its sets'
+    (lowest, highest) point and their (last, start) points as the layer
+    arrives, then drops it.  A set lies inside the run lo..hi exactly when
+    its lowest point is at least lo and its highest at most hi, so a
+    prefix-min over (lo, hi) yields every run's lengths.
 
     The layers of the all-starts pass take w * (w + 1) * 2**(w - 2) cells
     in all, so the table keeps none: ``path`` reads one optimal path of a
-    run from a ``RootedTable`` over that run, rooted at the path's start.
+    run from a ``RootedTable`` over that run, rooted at the path's start,
+    and never makes the all-starts pass, so a table that only reads paths
+    back skips it.
     """
 
     def __init__(self, pts: tuple, dmat: np.ndarray, max_visits: int | None = None):
         self.pts = pts
         self._dmat = dmat
-        w = len(pts)
-        top = w if max_visits is None else min(w, max_visits)
-        self._ranges = ranges = np.full((w, w, top + 1, w, w), INF)
-        for k, layer in enumerate(itertools.islice(_held_karp(dmat), top), 1):
+        self._top = len(pts) if max_visits is None else min(len(pts), max_visits)
+
+    @functools.cached_property
+    def _ranges(self) -> np.ndarray:
+        """ranges[lo, hi, k, d, c], from the all-starts pass on the first ``run``."""
+        w, top = len(self.pts), self._top
+        ranges = np.full((w, w, top + 1, w, w), INF)
+        for k, layer in enumerate(itertools.islice(_held_karp(self._dmat), top), 1):
             ids = _plan(w, k)[0]
             for part in _chunks(ids.shape[1], k * k):
                 pos = ids[:, part].astype(np.intp)
@@ -243,6 +255,7 @@ class SingleSlotTable:
             np.minimum(ranges[lo], ranges[lo + 1], out=ranges[lo])
         for hi in range(1, w):
             np.minimum(ranges[:, hi], ranges[:, hi - 1], out=ranges[:, hi])
+        return ranges
 
     def run(self, lo: int, hi: int) -> np.ndarray:
         """best[k, d, c] = shortest pts[c] -> pts[d] path over exactly k of
@@ -269,13 +282,14 @@ class RootedTable:
     methods take positions in that order.  The constructor makes one
     start-mode ``_held_karp`` pass from the root over the other points, in
     ascending position order, that stops after its layer of
-    ``max_visits``-point paths.  It folds each layer by ``np.minimum.at``
-    into the entry of its sets' highest point, the root counted, and their
-    last point; a path lies inside the prefix pts[0..hi] exactly when that
-    point is at most hi, so a prefix-min over hi yields every prefix's
-    lengths, which ``run`` reads.  The pass has one start, so its layers
-    hold one cell per (set, last point), 8.9 MB in all at 18 points, and the
-    table keeps them for ``path`` to walk back over.
+    ``max_visits``-point paths.  The pass has one start, so its layers hold
+    one cell per (set, last point), 8.9 MB in all at 18 points, and the
+    table keeps them for ``path`` to walk back over.  The first ``run``
+    folds each layer by ``np.minimum.at`` into the entry of its sets'
+    highest point, the root counted, and their last point; a path lies
+    inside the prefix pts[0..hi] exactly when that point is at most hi, so
+    a prefix-min over hi yields every prefix's lengths.  ``path`` never
+    folds, so a table that only reads paths back skips that work.
     """
 
     def __init__(self, pts: tuple, root: int, dmat: np.ndarray, max_visits: int | None = None):
@@ -286,8 +300,15 @@ class RootedTable:
         others = np.array([p for p in range(w) if p != root], dtype=np.intp)
         self._ids = [pts[p] for p in others.tolist()]
         self._dmat = dmat[np.ix_(others, others)]
+        self._others = others
         self._layers = tuple(itertools.islice(_held_karp(self._dmat, dmat[root, others]), top - 1))
-        self._prefixes = prefixes = np.full((w, top + 1, w), INF)
+
+    @functools.cached_property
+    def _prefixes(self) -> np.ndarray:
+        """prefixes[hi, k, d], folded from the layers on the first ``run``."""
+        root, top, others = self.root, self._top, self._others
+        w = len(self.pts)
+        prefixes = np.full((w, top + 1, w), INF)
         prefixes[root, 1, root] = 0.0  # the root alone
         for k, layer in enumerate(self._layers, 1):
             ids = _plan(w - 1, k)[0]
@@ -295,7 +316,7 @@ class RootedTable:
                 pos = others[ids[:, part]]
                 at = (np.maximum(pos[-1], root) * (top + 1) + k + 1) * w + pos
                 np.minimum.at(prefixes.reshape(-1), at.reshape(-1), layer[:, 0, part].reshape(-1))
-        np.minimum.accumulate(prefixes, axis=0, out=prefixes)
+        return np.minimum.accumulate(prefixes, axis=0, out=prefixes)
 
     def run(self, hi: int) -> np.ndarray:
         """best[k, d] = shortest pts[root] -> pts[d] path over exactly k of

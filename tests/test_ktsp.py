@@ -5,7 +5,9 @@ import pytest
 
 from orienteer import EndpointArrays, PointSet, solve_ktsp, window_solver
 from orienteer.errors import ConsistencyError, DegenerateInputError, InfeasibleError, InputError
+from orienteer.generate import DISTRIBUTIONS, generate
 from orienteer.geometry import rotate_to_axis
+from orienteer.ktsp import _sweep_ktsp
 from orienteer.oracle import brute_ktsp, seq_length
 from orienteer.paths import excess, path_length
 from orienteer.windows import decompose_path
@@ -47,7 +49,7 @@ def test_input_validation():
 
 
 def test_matches_brute_force(rng):
-    # Exact window oracle makes the sweep exact; lengths must agree.
+    # The whole set is one exact window; lengths must agree.
     for trial in range(50):
         n = int(rng.integers(4, 11))
         d = 2 if trial % 2 == 0 else 3
@@ -88,10 +90,20 @@ def test_table_values_non_increasing_in_column(rng):
 
 def test_table_plumbs_quarter_delta_to_window_oracle(delta_spy):
     pts = PointSet([[0.0, 0], [0.5, 0.4], [1.0, 0]])
-    solve_ktsp(pts, 0, 2, 3, delta=0.8, window_solver=delta_spy)
+    _sweep_ktsp(pts, 0, 2, 3, delta=0.8, window_solver=delta_spy)
     assert delta_spy.seen == [("rooted_table", 0.2), ("single_slot_table", 0.2)]
     # The sweep reads no count above k, so both passes may stop there.
     assert delta_spy.max_visits == [("rooted_table", 3), ("single_slot_table", 3)]
+
+
+def test_a_solve_asks_for_one_whole_set_window_table_at_delta_prime_zero(delta_spy):
+    # A solve's answer is the one-window candidate, which the contract makes
+    # optimal at delta' = 0 whatever the delta: one window table over every
+    # point, stopped at k, and no rooted table or window solve.
+    pts = PointSet([[0.0, 0], [0.5, 0.4], [1.0, 0]])
+    solve_ktsp(pts, 0, 2, 3, delta=0.8, window_solver=delta_spy)
+    assert delta_spy.seen == [("single_slot_table", 0.0)]
+    assert delta_spy.max_visits == [("single_slot_table", 3)]
 
 
 def test_optimal_path_window_chain_bounds_cost(rng):
@@ -139,23 +151,22 @@ def test_matches_brute_force_on_tie_heavy_inputs(rng, d):
         assert len(set(path.visits)) == len(path.visits) >= k
 
 
+TIE_CASES = [
+    [[0.0], [1.0], [0.5], [0.5], [1.0], [0.0], [0.5]],
+    [[0.0, 0.0], [0.5, 1.0], [1.0, 0.5], [0.0, 1.0], [0.0, 0.5], [0.0, 0.5]],
+    [[0.5, 0.5], [0.0, 1.0], [1.0, 0.5], [1.0, 0.5], [0.0, 1.0], [1.0, 1.0], [1.0, 0.5]],
+    [[0.0, 1.0, 0.0], [1.0, 1.0, 0.5], [0.5, 0.5, 1.0], [1.0, 0.5, 0.5],
+     [0.5, 0.5, 1.0], [1.0, 0.5, 0.0], [1.0, 0.0, 0.0]],
+]
+
+
 @pytest.mark.parametrize(
     "coords, k, visits",
     [
-        ([[0.0], [1.0], [0.5], [0.5], [1.0], [0.0], [0.5]], 5, (0, 2, 3, 4, 1)),
-        ([[0.0, 0.0], [0.5, 1.0], [1.0, 0.5], [0.0, 1.0], [0.0, 0.5], [0.0, 0.5]], 6,
-         (0, 5, 4, 3, 2, 1)),
-        (
-            [[0.5, 0.5], [0.0, 1.0], [1.0, 0.5], [1.0, 0.5], [0.0, 1.0], [1.0, 1.0], [1.0, 0.5]],
-            7,
-            (0, 2, 3, 6, 5, 4, 1),
-        ),
-        (
-            [[0.0, 1.0, 0.0], [1.0, 1.0, 0.5], [0.5, 0.5, 1.0], [1.0, 0.5, 0.5],
-             [0.5, 0.5, 1.0], [1.0, 0.5, 0.0], [1.0, 0.0, 0.0]],
-            7,
-            (0, 4, 2, 3, 6, 5, 1),
-        ),
+        (TIE_CASES[0], 5, (0, 2, 3, 4, 1)),
+        (TIE_CASES[1], 6, (0, 5, 4, 3, 2, 1)),
+        (TIE_CASES[2], 7, (0, 2, 3, 6, 5, 4, 1)),
+        (TIE_CASES[3], 7, (0, 4, 2, 3, 6, 5, 1)),
     ],
 )
 def test_tie_order_picks_a_fixed_optimum(coords, k, visits):
@@ -163,8 +174,29 @@ def test_tie_order_picks_a_fixed_optimum(coords, k, visits):
     # sweep keeps the first in (prefix column, window entry, window visit
     # count) order, and each bridge the first prefix end d', which yields
     # exactly these visits.
-    path, _ = solve_ktsp(PointSet(coords), 0, 1, k)
+    path, _ = _sweep_ktsp(PointSet(coords), 0, 1, k)
     assert path.visits == visits
+
+
+@pytest.mark.parametrize(
+    "coords, k, visits, length",
+    [
+        (TIE_CASES[0], 5, (0, 2, 3, 4, 1), 1.0),
+        (TIE_CASES[1], 6, (0, 4, 5, 3, 2, 1), 2.8251407699364424),
+        (TIE_CASES[2], 7, (0, 2, 3, 6, 5, 4, 1), 2.0),
+        (TIE_CASES[3], 7, (0, 2, 4, 3, 6, 5, 1), 3.8460652149512313),
+    ],
+)
+def test_the_one_window_read_picks_a_fixed_optimum_of_the_sweeps_length(
+    coords, k, visits, length
+):
+    # A solve's one-window read breaks ties inside its one window as the
+    # rooted walk does, so two of the sweep's optima above move to another
+    # order of coincident points, with the same length bits.
+    pts = PointSet(coords)
+    path, got = solve_ktsp(pts, 0, 1, k)
+    assert (path.visits, got) == (visits, length)
+    assert _sweep_ktsp(pts, 0, 1, k)[1] == length
 
 
 @pytest.mark.parametrize("no_room", [False, True])
@@ -234,6 +266,45 @@ def test_rooted_table_is_the_window_table_at_its_root(rng, d):
     assert checked > 2000, checked
 
 
+@pytest.mark.parametrize("distribution", DISTRIBUTIONS)
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_the_one_window_read_is_the_sweep_over_the_same_tables(d, distribution):
+    # With the exact oracle, a solve's one-window read and the full sweep
+    # over the same tables give the same visits and the same length bits.
+    # On a line every monotone path over the same points is as long as any
+    # other, so at d = 1 the two may take different optima, whose sums
+    # differ only in rounding (seed 4, n = 9, k = 5, collinear-jitter:
+    # 0.8135686133709301 and ...302).
+    compared = 0
+    for n in range(3, 13):
+        for seed in (1, 2, 3):
+            inst = generate(seed=seed, n=n, d=d, distribution=distribution, kind="ktsp")
+            pts = inst.point_set()
+            for k in {inst.k, max(2, n - 2)}:
+                read = solve_ktsp(pts, inst.source, inst.sink, k)
+                sweep = _sweep_ktsp(pts, inst.source, inst.sink, k)
+                if d == 1:
+                    assert abs(read[1] - sweep[1]) <= pts.length_tolerance(), (n, seed, k)
+                else:
+                    assert (read[0].visits, read[1]) == (sweep[0].visits, sweep[1]), (n, seed, k)
+                compared += 1
+    assert compared > 50
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_the_one_window_read_has_the_sweeps_length_on_tie_heavy_inputs(rng, d):
+    # Ties may send the two to different optima, but never to different
+    # lengths, and both are the enumerated optimum.
+    for _ in range(40):
+        n = int(rng.integers(3, 10))
+        pts = tie_heavy_points(rng, n, d)
+        k = int(rng.integers(2, n + 1))
+        _, read = solve_ktsp(pts, 0, 1, k)
+        _, sweep = _sweep_ktsp(pts, 0, 1, k)
+        assert read == sweep
+        assert read == pytest.approx(brute_ktsp(pts, 0, 1, k)[1], rel=1e-9, abs=1e-12)
+
+
 class CountingWindowSolver(ExactWindowSolver):
     """The exact oracle, counting table requests and per-window solves and
     keeping the last window table."""
@@ -258,21 +329,29 @@ class CountingWindowSolver(ExactWindowSolver):
 
 
 def test_a_solve_makes_one_request_of_each_table_and_no_window_solve():
-    # The window table holds exactly the points right of the source, so the
-    # first window is the rooted table's alone.
+    # A sweep asks for each table once.  Its window table holds exactly the
+    # points right of the source, so the first window is the rooted table's
+    # alone.  A solve asks for one window table, over every point, and reads
+    # one path from it, so the table never makes its all-starts pass.
     left_of_source = 0
     for seed in range(20):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(3, 12))
         pts = PointSet(rng.random((n, 1 + seed % 3)))
+        k = int(rng.integers(2, n + 1))
         solver = CountingWindowSolver()
-        solve_ktsp(pts, 0, 1, int(rng.integers(2, n + 1)), window_solver=solver)
+        _sweep_ktsp(pts, 0, 1, k, window_solver=solver)
         assert (solver.rooted, solver.tables, solver.windows) == (1, 1, 0), seed
         order = rotate_to_axis(pts, 0, 1)[0].sweep_order.tolist()
         r_s = order.index(0)
         assert solver.table.pts == tuple(order[r_s + 1 :]), seed
         assert len(solver.table.pts) == n - r_s - 1
         left_of_source += r_s > 0
+        solver = CountingWindowSolver()
+        solve_ktsp(pts, 0, 1, k, window_solver=solver)
+        assert (solver.rooted, solver.tables, solver.windows) == (0, 1, 0), seed
+        assert solver.table.pts == tuple(order), seed
+        assert "_ranges" not in vars(solver.table), seed
     assert 0 < left_of_source < 20
 
 
@@ -323,6 +402,20 @@ class NoEntryTable(SwappedTable):
         return None
 
 
+class WrongPathTable(SwappedTable):
+    """The exact lengths, and a path that is not one a k-TSP solve asked
+    for: it ends short of the sink, misses a point, or repeats one."""
+
+    def __init__(self, table, wrong):
+        super().__init__(table)
+        self.wrong = wrong
+
+    def path(self, *query):
+        visits = self.table.path(*query)
+        return {"short": visits[:-1], "missing": visits[:1] + visits[2:],
+                "repeated": visits[:1] + visits[:-1]}[self.wrong]
+
+
 class SwappedTableSolver(ExactWindowSolver):
     """The exact oracle with its rooted and window tables wrapped."""
 
@@ -342,11 +435,11 @@ def test_a_read_back_that_disagrees_with_the_lengths_is_a_consistency_error(rng,
     # Every walk back ends at a first window read from the rooted table, and
     # reads a window right of the source only when it won the fill.
     pts = PointSet(rng.random((6, 2)))
-    assert solve_ktsp(pts, 0, 1, 4, window_solver=SwappedTableSolver())
+    assert _sweep_ktsp(pts, 0, 1, 4, window_solver=SwappedTableSolver())
     for solver in (SwappedTableSolver(rooted_type=table_type),
                    SwappedTableSolver(table_type=table_type)):
         with pytest.raises(ConsistencyError):
-            solve_ktsp(pts, 0, 1, 4, window_solver=solver)
+            _sweep_ktsp(pts, 0, 1, 4, window_solver=solver)
 
 
 def test_a_table_with_no_entry_for_a_feasible_instance_is_a_consistency_error(rng):
@@ -356,4 +449,29 @@ def test_a_table_with_no_entry_for_a_feasible_instance_is_a_consistency_error(rn
     pts = PointSet(rng.random((6, 2)))
     solver = SwappedTableSolver(rooted_type=NoEntryTable, table_type=NoEntryTable)
     with pytest.raises(ConsistencyError, match="no feasible entry"):
+        _sweep_ktsp(pts, 0, 1, 4, window_solver=solver)
+
+
+@pytest.mark.parametrize("table_type", [NoPathTable, NoEntryTable])
+def test_a_whole_set_table_with_no_path_is_a_consistency_error(rng, table_type):
+    # A solve's answer is one path read from its window table; a table that
+    # has no path for a feasible instance is the oracle's fault, not the
+    # instance's.
+    pts = PointSet(rng.random((6, 2)))
+    assert solve_ktsp(pts, 0, 1, 4, window_solver=SwappedTableSolver())
+    solver = SwappedTableSolver(table_type=table_type)
+    with pytest.raises(ConsistencyError, match="no feasible entry"):
         solve_ktsp(pts, 0, 1, 4, window_solver=solver)
+
+
+@pytest.mark.parametrize("wrong", ["short", "missing", "repeated"])
+def test_a_read_back_that_is_not_a_k_point_path_to_the_sink_is_a_consistency_error(rng, wrong):
+    # The one read of a solve is checked: from the source, to the sink, over
+    # k distinct points.  The sweep's own read-back is checked the same way.
+    pts = PointSet(rng.random((6, 2)))
+    solver = SwappedTableSolver(table_type=lambda table: WrongPathTable(table, wrong))
+    with pytest.raises(ConsistencyError, match="not a 0 -> 1 path over 4 distinct points"):
+        solve_ktsp(pts, 0, 1, 4, window_solver=solver)
+    solver = SwappedTableSolver(rooted_type=lambda table: WrongPathTable(table, wrong))
+    with pytest.raises(ConsistencyError, match="not a 0 -> 1 path over 4 distinct points"):
+        _sweep_ktsp(pts, 0, 1, 4, window_solver=solver)

@@ -16,6 +16,7 @@ from orienteer import (
 )
 from orienteer.errors import CapacityError, InputError
 from orienteer.generate import DISTRIBUTIONS, generate
+from orienteer.ktsp import _sweep_ktsp
 from orienteer.oracle import brute_ktsp, brute_mktsp
 from orienteer.orienteering import OrienteeringInstance, solve_orienteering
 from orienteer.paths import path_length
@@ -189,11 +190,11 @@ def test_table_chunked_by_start_equals_one_chunk(rng, monkeypatch):
         for c, d in [(lo, hi), (hi, lo), ((lo + hi) // 2, hi)]
         for k in range(1, hi - lo + 2)
     }
+    runs = {(lo, hi): whole.run(lo, hi) for lo in range(9) for hi in range(lo, 9)}
     monkeypatch.setattr(window_solver, "CHUNK_BYTES", 1)
     chunked = ExactWindowSolver().single_slot_table(pts, range(9))
-    for lo in range(9):
-        for hi in range(lo, 9):
-            assert np.array_equal(chunked.run(lo, hi), whole.run(lo, hi))
+    for (lo, hi), run in runs.items():
+        assert np.array_equal(chunked.run(lo, hi), run)
     assert {query: chunked.path(*query) for query in paths} == paths
     assert sum(visits is not None for visits in paths.values()) > 200
 
@@ -303,7 +304,7 @@ def test_a_fifteen_point_build_stays_under_its_byte_ceiling(monkeypatch):
         window_solver._masks.cache_clear()
         tracemalloc.start()
         try:
-            ExactWindowSolver().single_slot_table(pts, range(w))
+            ExactWindowSolver().single_slot_table(pts, range(w)).run(0, w - 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -327,6 +328,7 @@ def test_a_fifteen_point_rooted_build_stays_under_its_byte_ceiling(monkeypatch):
         tracemalloc.start()
         try:
             rooted = ExactWindowSolver().rooted_table(pts, range(w), int(pts.sweep_order[w // 2]))
+            rooted.run(w - 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -358,13 +360,14 @@ def test_the_plans_of_every_size_up_to_the_cap_stay_cached():
 
 
 def test_a_pass_stopped_early_builds_only_the_plans_it_reads():
-    # A 12-point all-starts pass stopped after its 4-point layer reads the
-    # plans of sizes 1 to 4; a rooted pass over the other 11 points, stopped
-    # after its paths over 4 points, those of sizes 1 to 3.
+    # A 12-point all-starts pass, made by the table's first run, stopped
+    # after its 4-point layer reads the plans of sizes 1 to 4; a rooted pass
+    # over the other 11 points, stopped after its paths over 4 points, those
+    # of sizes 1 to 3.
     pts = PointSet(np.random.default_rng(12).random((12, 2)))
     window_solver._plan.cache_clear()
     try:
-        ExactWindowSolver().single_slot_table(pts, range(12), max_visits=4)
+        ExactWindowSolver().single_slot_table(pts, range(12), max_visits=4).run(0, 11)
         ExactWindowSolver().rooted_table(pts, range(12), 5, max_visits=4)
         built = window_solver._plan.cache_info()
         for pair in [(12, 1), (12, 2), (12, 3), (12, 4), (11, 1), (11, 2), (11, 3)]:
@@ -504,9 +507,10 @@ class RunAndPathSolver(ExactWindowSolver):
 
 def test_sweeps_read_a_table_only_through_run_and_path():
     # A swapped-in rooted or window table needs nothing but the two methods,
-    # and the oracle gains no state from serving a solve.
-    def ktsp(inst, oracle):
-        path, length = solve_ktsp(
+    # for the k-TSP solve's one-window read and for the full sweep alike, and
+    # the oracle gains no state from serving a solve.
+    def ktsp(inst, oracle, solve=solve_ktsp):
+        path, length = solve(
             inst.point_set(), inst.source, inst.sink, inst.k, inst.delta, window_solver=oracle
         )
         return path.visits, length
@@ -526,6 +530,9 @@ def test_sweeps_read_a_table_only_through_run_and_path():
                 default = solve(inst, None)
                 assert solve(inst, RunAndPathSolver()) == default, (seed, dist, kind)
                 assert solve(inst, solver) == default, (seed, dist, kind)
+                if kind == "ktsp":
+                    sweep = ktsp(inst, solver, _sweep_ktsp)
+                    assert ktsp(inst, RunAndPathSolver(), _sweep_ktsp) == sweep, (seed, dist)
     assert vars(ExactWindowSolver()) == vars(solver) == {}
 
 
