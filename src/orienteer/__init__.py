@@ -6,7 +6,8 @@ The package solves three rooted Euclidean problems at desk scale:
   least k points, as the one-window candidate of the paper's plane sweep
   over windows: one Held-Karp read from the source over the whole set.
 - ``solve_mktsp``: m paths with prescribed endpoint pairs jointly visiting k
-  points, via the multi-path extension of the same sweep.
+  points, as the one-window candidate of the multi-path extension of the
+  same sweep: one multi-slot window read over the whole set.
 - ``solve_orienteering``: maximize points visited under a length budget, by
   reducing to (m,k)-TSP queries over skeleton point tuples.
 

@@ -1,9 +1,26 @@
-"""Multi-path plane sweep for rooted (m,k)-TSP.
+"""Rooted (m,k)-TSP: one window over the whole set, and the paper's
+multi-path plane sweep.
 
-The space is first rotated (orienting pairs, swapping endpoints when needed)
-so that every prescribed segment faces forward along the sweep axis with an
-angle margin of 1/(8 m^1.5); this is what lets backward edges of *any* slot
-charge against the joint excess.  The sweep then fills a table keyed by
+Among the sweep's candidates is the whole set as one window, which every
+slot enters at its prescribed source and leaves at its sink.  The window
+oracle takes the whole set (``solve_mktsp`` raises CapacityError
+otherwise), and at delta' = 0 its contract, "at most (1 + delta') times the
+window optimum", makes that one-window candidate the optimum, which nothing
+else the sweep builds can undercut.  So ``solve_mktsp`` asks
+``solve_lengths`` once, over all points at delta' = 0 with the pairs as the
+one endpoint configuration, and reads the system of the k-visit entry back
+with one ``solve_window`` call: no rotation, no pair orientation and no
+window configurations.  A read-back whose slot j does not run pair j, whose
+interiors overlap, that visits other than k distinct points, or whose total
+is not the lengths' entry raises ConsistencyError.
+
+``_sweep_mktsp`` keeps the paper's sweep, run at delta' = delta / m^5.5, as
+the reference the read is tested against and the base for windows narrower
+than the whole set.  Its space is first rotated (orienting pairs, swapping
+endpoints when needed) so that every prescribed segment faces forward along
+the sweep axis with an angle margin of 1/(8 m^1.5); this is what lets
+backward edges of *any* slot charge against the joint excess.  The sweep
+then fills a table keyed by
 
     (column p_i, per-slot frontiers T, visit count k')
 
@@ -26,10 +43,10 @@ the new state still needs, or the prefix cost plus the bridges and the
 straight-line completion bound exceeds the cost cap.  The survivors reach
 the oracle in the order they are generated.
 
-At desk scale the table is exact, so results equal brute-force enumeration;
-the oracle accuracy knob is still plumbed through as
-delta' = delta / m^5.5 for contract compatibility with approximate
-window solvers.
+With an exact window oracle the sweep's table is exact, so its results
+equal brute-force enumeration and the read's; the oracle accuracy knob is
+plumbed through as delta' = delta / m^5.5 for contract compatibility with
+approximate window solvers.
 """
 
 from __future__ import annotations
@@ -50,6 +67,7 @@ from .window_solver import EndpointArrays, ExactWindowSolver
 
 INF = math.inf
 
+
 def window_accuracy(delta: float, m: int) -> float:
     """The window oracle accuracy delta' = delta / m^5.5; with the exact
     oracle the value never changes a result."""
@@ -67,10 +85,11 @@ def solve_mktsp(
     """m paths with prescribed endpoints jointly visiting at least k points.
 
     Returns (MultiPath, total_length) with slot j of the answer connecting
-    pair j of the input.  When `cost_cap` is given, returns None as soon as
-    it can prove the optimum exceeds the cap (used by the orienteering
-    driver to discard over-budget skeletons early); without a cap the result
-    is the exact optimum.
+    pair j of the input.  When `cost_cap` is given, returns None when the
+    optimum exceeds the cap (used by the orienteering driver to discard
+    over-budget skeletons early); without a cap the result is the exact
+    optimum, the whole set's one-window optimum, which meets the sweep's
+    excess bound for every delta > 0.
     """
     n = points.n
     m = len(pairs)
@@ -96,8 +115,44 @@ def solve_mktsp(
     solver = window_solver if window_solver is not None else ExactWindowSolver()
     cap = getattr(solver, "point_cap", None)
     if cap is not None and n > cap:
-        # Transitions may span the whole set in one window.
+        # The one window holds the whole set.
         raise CapacityError(f"n={n} exceeds the window solver cap of {cap}")
+
+    dmat = points.distance_rows()
+    cost_limit = INF if cost_cap is None else cost_cap + points.length_tolerance()
+    if sum(dmat[s][t] for s, t in pairs) > cost_limit:
+        return None  # the pairs' straight lines alone exceed the cap
+    endpoints = EndpointArrays(*zip(*pairs))
+    total = solver.solve_lengths(points, range(n), endpoints, 0.0).get(k)
+    if total is None or total > cost_limit:
+        if cost_cap is not None:
+            return None
+        raise ConsistencyError("no feasible entry for a feasible instance")
+    system = solver.solve_window(points, range(n), endpoints, k, 0.0)
+    if system.total_length != total:
+        raise ConsistencyError(
+            f"the window read back a system of length {system.total_length}, "
+            f"not the {total} its lengths give"
+        )
+    return _answer(points, pairs, [() if p is None else p.visits for p in system.paths], k)
+
+
+def _sweep_mktsp(
+    points: PointSet,
+    pairs,
+    k: int,
+    delta: float = 0.25,
+    window_solver=None,
+    cost_cap: float | None = None,
+):
+    """``solve_mktsp``'s answer by the paper's full sweep over every window
+    decomposition, with the window oracle run at delta' = delta / m^5.5.
+    The input is taken as valid; returns None when the sweep proves the
+    optimum over `cost_cap`."""
+    n = points.n
+    m = len(pairs)
+    pairs = [(int(s), int(t)) for s, t in pairs]
+    solver = window_solver if window_solver is not None else ExactWindowSolver()
     delta_prime = window_accuracy(delta, m)
 
     # Rotate so every pair of distinct points faces along the sweep axis
@@ -169,17 +224,32 @@ def solve_mktsp(
     visits_per_slot = _reconstruct(
         rotated, solver, order, back, best_col, answer_key, delta_prime, m
     )
-    paths = []
-    for l in range(m):
-        ids = visits_per_slot[l]
-        if swapped[l]:
-            ids = ids[::-1]
-        if ids[0] != pairs[l][0] or ids[-1] != pairs[l][1]:
-            raise ConsistencyError(f"slot {l} endpoints corrupted: {ids}")
-        paths.append(Path(points, tuple(ids)))
-    multi = MultiPath(tuple(paths))
-    total = sum(path_length(p) for p in paths)
-    return multi, total
+    return _answer(
+        points,
+        pairs,
+        [ids[::-1] if flip else ids for ids, flip in zip(visits_per_slot, swapped)],
+        k,
+    )
+
+
+def _answer(points: PointSet, pairs, visits, k: int):
+    """The MultiPath of the per-slot ``visits`` a read-back gave and its
+    total length, or ConsistencyError when slot j does not run pair j, a
+    point interior to a slot is visited again, or other than k distinct
+    points are visited."""
+    visits = [tuple(v) for v in visits]
+    if len(visits) != len(pairs) or any(
+        (v[:1], v[-1:]) != ((s,), (t,)) for v, (s, t) in zip(visits, pairs)
+    ):
+        raise ConsistencyError(f"the slots read back {visits}, which do not run the pairs {pairs}")
+    interiors = [p for v in visits for p in v[1:-1]]
+    ends = {p for pair in pairs for p in pair}
+    if len(set(interiors)) != len(interiors) or not ends.isdisjoint(interiors):
+        raise ConsistencyError(f"the slots read back {visits}, whose interiors overlap")
+    if len(ends) + len(interiors) != k:
+        raise ConsistencyError(f"the slots read back {visits}, not a system over {k} points")
+    paths = tuple(Path(points, v) for v in visits)
+    return MultiPath(paths), sum(path_length(p) for p in paths)
 
 
 def _window_configs(T1, cost, cost_limit, w_ids, lo, hi, sources, sinks, rank, dmat):

@@ -19,8 +19,11 @@ everywhere but never changes a result here.  Swapping in an approximate
 implementation with the same methods leaves the sweeps intact: the oracle
 answers ``solve_lengths``, ``solve_window``, ``single_slot_table`` and
 ``rooted_table``, and the sweeps read a table only through its ``run`` and
-``path`` methods.  The k-TSP solve and the orienteering bound ask at
-delta_prime = 0, where the contract asks for the optimum.
+``path`` methods.  The k-TSP and (m,k)-TSP solves and the orienteering
+bound ask at delta_prime = 0, where the contract asks for the optimum: an
+(m,k)-TSP solve asks ``solve_lengths`` once, over the whole set with its
+pairs as the endpoints, and reads the system of its count back with one
+``solve_window`` call.
 
 ``single_slot_table`` is a batched variant for the one-path case: its
 table holds optima for *all* endpoint pairs and visit counts of every

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from orienteer import PointSet, solve_ktsp, solve_mktsp
+from orienteer import PointSet, mktsp, solve_ktsp, solve_mktsp
 from orienteer.directions import angle_margin
 from orienteer.errors import ConsistencyError, DegenerateInputError, InfeasibleError, InputError
-from orienteer.mktsp import _window_configs, window_accuracy
+from orienteer.generate import DISTRIBUTIONS, generate
+from orienteer.mktsp import _sweep_mktsp, _window_configs, window_accuracy
 from orienteer.oracle import brute_mktsp
-from orienteer.paths import path_length
+from orienteer.paths import Path, path_length
 from orienteer.window_solver import ExactWindowSolver, WindowSolution
 
 
@@ -165,8 +166,8 @@ def test_total_length_recomputes(rng):
 
 
 def test_excess_guarantee_with_exact_oracle(rng):
-    # With the exact window oracle the sweep meets the excess bound with
-    # room to spare: length <= OPT + delta * excess(OPT).
+    # With the exact window oracle the read and the sweep meet the excess
+    # bound with room to spare: length <= OPT + delta * excess(OPT).
     delta = 0.25
     for _ in range(10):
         n = int(rng.integers(5, 8))
@@ -174,10 +175,11 @@ def test_excess_guarantee_with_exact_oracle(rng):
         pairs = random_pairs(rng, n, 2)
         n_eps = len({x for p in pairs for x in p})
         k = int(rng.integers(n_eps, n + 1))
-        _, total = solve_mktsp(pts, pairs, k, delta)
         paths, opt = brute_mktsp(pts, pairs, k)
         direct = sum(pts.distance(s, t) for s, t in pairs)
-        assert total <= opt + delta * (opt - direct) + 1e-9
+        for solve in (solve_mktsp, _sweep_mktsp):
+            _, total = solve(pts, pairs, k, delta)
+            assert total <= opt + delta * (opt - direct) + 1e-9
 
 
 def test_validation():
@@ -203,12 +205,17 @@ def test_five_disjoint_pairs_are_solved(rng):
 
 
 def test_accuracy_parameter_plumbed(rng, delta_spy):
+    # The sweep asks its windows at delta' = delta / m^5.5; a solve reads its
+    # one window at delta' = 0, where the contract asks for the optimum.
     pts = PointSet(rng.random((5, 2)))
-    solve_mktsp(pts, [(0, 1), (2, 3)], 4, delta=0.8, window_solver=delta_spy)
+    _sweep_mktsp(pts, [(0, 1), (2, 3)], 4, delta=0.8, window_solver=delta_spy)
     assert {method for method, _ in delta_spy.seen} == {"solve_lengths", "solve_window"}
     for _, delta_prime in delta_spy.seen:
         assert delta_prime == pytest.approx(window_accuracy(0.8, 2), rel=1e-12)
     assert window_accuracy(0.8, 2) == pytest.approx(0.8 / 2**5.5, rel=1e-12)
+    delta_spy.seen.clear()
+    solve_mktsp(pts, [(0, 1), (2, 3)], 4, delta=0.8, window_solver=delta_spy)
+    assert delta_spy.seen == [("solve_lengths", 0.0), ("solve_window", 0.0)]
 
 
 def test_cost_cap_returns_none_when_over_budget(rng):
@@ -235,14 +242,180 @@ class NoSystemWindowSolver(ExactWindowSolver):
         return WindowSolution(math.inf, (None,) * endpoints.slots, 0)
 
 
+class BrokenSystemWindowSolver(ExactWindowSolver):
+    """Exact lengths, but a read-back system whose total is one ulp above
+    the length given for its count, whose first slot runs backwards, or
+    whose second slot also visits an interior point of the first."""
+
+    def __init__(self, broken: str):
+        super().__init__()
+        self.broken = broken
+
+    def solve_window(self, host, point_ids, endpoints, k, delta_prime=0.0):
+        sol = super().solve_window(host, point_ids, endpoints, k, delta_prime)
+        total, (first, second, *rest) = sol.total_length, sol.paths
+        if self.broken == "longer":
+            total = math.nextafter(total, math.inf)
+        elif self.broken == "swapped":
+            first = Path(host, first.visits[::-1])
+        elif len(first.visits) > 2 and second is not None:
+            second = Path(host, second.visits[:1] + first.visits[1:2] + second.visits[1:])
+        return WindowSolution(total, (first, second, *rest), k)
+
+
 def test_a_read_back_that_disagrees_with_the_lengths_is_a_consistency_error(rng):
     pts = PointSet(rng.random((6, 2)))
-    with pytest.raises(ConsistencyError):
-        solve_mktsp(pts, [(0, 1), (2, 3)], 5, window_solver=NoSystemWindowSolver())
+    for solve in (solve_mktsp, _sweep_mktsp):
+        with pytest.raises(ConsistencyError):
+            solve(pts, [(0, 1), (2, 3)], 5, window_solver=NoSystemWindowSolver())
+
+
+@pytest.mark.parametrize(
+    "broken, solves",
+    [
+        ("longer", (solve_mktsp,)),
+        ("swapped", (solve_mktsp, _sweep_mktsp)),
+        ("shared", (solve_mktsp, _sweep_mktsp)),
+    ],
+    ids=["longer", "swapped", "shared"],
+)
+def test_a_read_back_system_that_is_not_the_lengths_entry_is_a_consistency_error(
+    broken, solves
+):
+    # Each oracle gives the exact lengths; its read-back system is longer
+    # than the entry, runs a slot from sink to source, or visits one
+    # point inside two slots.  At k = n both slots have interior points.
+    # The sweep checks the systems it stitches, not the windows' totals.
+    pts = PointSet(np.random.default_rng(5).random((7, 2)))
+    assert solve_mktsp(pts, [(0, 1), (2, 3)], 7)
+    for solve in solves:
+        with pytest.raises(ConsistencyError):
+            solve(pts, [(0, 1), (2, 3)], 7, window_solver=BrokenSystemWindowSolver(broken))
+
+
+def mktsp_cells():
+    """The generator's (m,k)-TSP instances: m = 3 at the default k = 2m + 1
+    and m = 2 at k = n - 3, over the three distributions, d = 2 and 3."""
+    for dist in DISTRIBUTIONS:
+        for d in (2, 3):
+            for seed in (1, 2, 3):
+                yield generate(seed=seed, n=9, d=d, distribution=dist, kind="mktsp", m=3)
+                yield generate(seed=seed, n=10, d=d, distribution=dist, kind="mktsp", m=2, k=7)
+
+
+def test_the_one_window_read_is_the_sweep_on_generated_instances():
+    # With the exact oracle, a solve's one-window read and the full sweep
+    # give the same visits and the same length bits.
+    compared = 0
+    for inst in mktsp_cells():
+        pts = inst.point_set()
+        read = solve_mktsp(pts, inst.pairs, inst.k, inst.delta)
+        sweep = _sweep_mktsp(pts, inst.pairs, inst.k, inst.delta)
+        assert [p.visits for p in read[0].paths] == [p.visits for p in sweep[0].paths], inst
+        assert read[1] == sweep[1], inst
+        compared += 1
+    assert compared == 36
+
+
+def tie_draw(seed: int):
+    """n = 4-8 and m <= 3 on a half grid, so ties and coincident points are
+    common; odd seeds chain the pairs, seeds 2 mod 4 copy one point onto
+    another, and seeds 3 mod 4 lie on a line (d = 1)."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 9))
+    m = int(rng.integers(1, min(3, n // 2) + 1))
+    coords = rng.integers(0, 5, (n, 1 if seed % 4 == 3 else 2)) / 2.0
+    if seed % 4 == 2:
+        coords[int(rng.integers(0, n))] = coords[int(rng.integers(0, n))]
+    ids = [int(i) for i in rng.permutation(n)]
+    if seed % 2:
+        pairs = [(ids[j], ids[j + 1]) for j in range(m)]
+    else:
+        pairs = [(ids[2 * j], ids[2 * j + 1]) for j in range(m)]
+    k = int(rng.integers(len({p for pair in pairs for p in pair}), n + 1))
+    return PointSet(coords), pairs, k
+
+
+def test_the_one_window_read_is_optimal_and_never_longer_than_the_sweep_on_ties():
+    # Ties may send the two to different optima, whose sums may differ in
+    # rounding, but the read is the enumerated optimum and never a bit
+    # longer than the sweep.
+    moved = 0
+    for seed in range(400):
+        pts, pairs, k = tie_draw(seed)
+        multi, read = solve_mktsp(pts, pairs, k)
+        sweep_multi, sweep = _sweep_mktsp(pts, pairs, k)
+        _, opt = brute_mktsp(pts, pairs, k)
+        assert read == pytest.approx(opt, rel=1e-9, abs=1e-12), seed
+        assert read <= sweep, seed
+        assert len(multi.visited_ids()) == k, seed
+        moved += [p.visits for p in multi.paths] != [p.visits for p in sweep_multi.paths]
+    assert moved > 0  # the draws do reach ties the two break apart
+
+
+class CallSpy(ExactWindowSolver):
+    """The exact oracle, recording (method, point ids, delta') of each call."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def solve_lengths(self, host, point_ids, endpoints, delta_prime=0.0):
+        self.calls.append(("solve_lengths", tuple(point_ids), delta_prime))
+        return super().solve_lengths(host, point_ids, endpoints, delta_prime)
+
+    def solve_window(self, host, point_ids, endpoints, k, delta_prime=0.0):
+        self.calls.append(("solve_window", tuple(point_ids), delta_prime))
+        return super().solve_window(host, point_ids, endpoints, k, delta_prime)
+
+
+def no_sweep(monkeypatch):
+    """Make pair orientation and rotation fail, as a solve needs neither."""
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a solve oriented or rotated its points")
+
+    monkeypatch.setattr(mktsp, "orient_pairs", fail)
+    monkeypatch.setattr(PointSet, "transformed", fail)
+
+
+def test_a_solve_asks_once_for_the_whole_set_at_delta_prime_zero(rng, monkeypatch):
+    no_sweep(monkeypatch)
+    for _ in range(20):
+        n = int(rng.integers(4, 10))
+        pts = PointSet(rng.random((n, 2)))
+        pairs = random_pairs(rng, n, int(rng.integers(1, min(3, n // 2) + 1)))
+        k = int(rng.integers(2 * len(pairs), n + 1))
+        spy = CallSpy()
+        assert solve_mktsp(pts, pairs, k, 0.5, window_solver=spy)
+        everything = tuple(range(n))
+        assert spy.calls == [("solve_lengths", everything, 0.0), ("solve_window", everything, 0.0)]
+
+
+def test_over_the_cap_a_solve_reads_no_system_and_below_the_straight_lines_no_oracle(
+    rng, monkeypatch
+):
+    # A cap between the pairs' straight lines and the optimum costs one
+    # length request; a cap below the straight lines costs none.
+    no_sweep(monkeypatch)
+    for _ in range(20):
+        n = int(rng.integers(5, 9))
+        pts = PointSet(rng.random((n, 2)))
+        pairs = random_pairs(rng, n, int(rng.integers(1, 3)))
+        k = int(rng.integers(2 * len(pairs) + 1, n + 1))  # an interior point makes opt > direct
+        _, opt = brute_mktsp(pts, pairs, k)
+        direct = sum(pts.distance(s, t) for s, t in pairs)
+        spy = CallSpy()
+        cap = (opt + direct) / 2
+        assert solve_mktsp(pts, pairs, k, 0.5, window_solver=spy, cost_cap=cap) is None
+        assert [call[0] for call in spy.calls] == ["solve_lengths"]
+        spy = CallSpy()
+        assert solve_mktsp(pts, pairs, k, 0.5, window_solver=spy, cost_cap=direct / 2) is None
+        assert spy.calls == []
 
 
 def test_oriented_pairs_face_forward(rng):
-    # After the orientation step inside the solver, each pair's segment makes
+    # After the orientation step inside the sweep, each pair's segment makes
     # an angle at most pi/2 - 1/(8 m^1.5) with the sweep axis; verify the
     # public helper agrees on the same inputs.
     from orienteer.directions import orient_pairs
@@ -391,7 +564,7 @@ NARROW_PIN = {
 def test_narrow_oracle_answers_are_pinned():
     for seed, pinned in NARROW_PIN.items():
         pts, pairs, k, width, cap = narrow_draw(seed)
-        result = solve_mktsp(
+        result = _sweep_mktsp(
             pts, pairs, k, 0.5, window_solver=NarrowWindowSolver(width), cost_cap=cap
         )
         if result is not None:
@@ -431,7 +604,7 @@ def test_one_oracle_call_per_window_and_configuration():
         if seed // 4 % 2:
             cap = sum(pts.distance(s, t) for s, t in pairs) * float(rng.uniform(1.0, 2.5))
         solver = RecordingWindowSolver()
-        solve_mktsp(pts, pairs, k, 0.5, window_solver=solver, cost_cap=cap)
+        _sweep_mktsp(pts, pairs, k, 0.5, window_solver=solver, cost_cap=cap)
         assert len(set(solver.queries)) == len(solver.queries), seed
         asked += len(solver.queries)
     assert asked > 0

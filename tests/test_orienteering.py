@@ -16,7 +16,7 @@ from orienteer import orienteering
 from orienteer.errors import CapacityError, InputError
 from orienteer.generate import DISTRIBUTIONS, generate
 from orienteer.io import Solution
-from orienteer.mktsp import solve_mktsp
+from orienteer.mktsp import _sweep_mktsp, solve_mktsp
 from orienteer.oracle import brute_orienteering
 from orienteer.orienteering import OrienteeringInstance, segment_count
 from orienteer.paths import excess, path_length
@@ -408,3 +408,10 @@ def test_orienteering_answers_are_pinned():
             OrienteeringInstance(inst.point_set(), inst.root, inst.budget, inst.delta)
         )
         assert (sol.visited, repr(sol.length), sol.certificate) == ORIENTEERING_PIN[seed], seed
+
+
+def test_the_mktsp_sweep_gives_the_pinned_orienteering_answers(monkeypatch):
+    # The (m,k)-TSP sweep, swapped in for the one-window read, gives the
+    # same answers, length bits included.
+    monkeypatch.setattr(orienteering, "solve_mktsp", _sweep_mktsp)
+    test_orienteering_answers_are_pinned()

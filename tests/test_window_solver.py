@@ -17,6 +17,7 @@ from orienteer import (
 from orienteer.errors import CapacityError, InputError
 from orienteer.generate import DISTRIBUTIONS, generate
 from orienteer.ktsp import _sweep_ktsp
+from orienteer.mktsp import _sweep_mktsp
 from orienteer.oracle import brute_ktsp, brute_mktsp
 from orienteer.orienteering import OrienteeringInstance, solve_orienteering
 from orienteer.paths import path_length
@@ -448,7 +449,9 @@ def test_reused_solver_keeps_no_point_set(monkeypatch):
                 window_solver=solver,
             )
             inst = generate(seed=seed, n=7, d=2, kind="mktsp", m=2)
-            solve_mktsp(inst.point_set(), inst.pairs, inst.k, inst.delta, window_solver=solver)
+            pts = inst.point_set()
+            for solve in (solve_mktsp, _sweep_mktsp):
+                solve(pts, inst.pairs, inst.k, inst.delta, window_solver=solver)
 
     solve_all()
     gc.collect()
