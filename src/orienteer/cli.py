@@ -138,37 +138,20 @@ def cmd_solve(args) -> int:
     }
     if inst.kind == "ktsp":
         path, length = solve_ktsp(points, inst.source, inst.sink, inst.k, inst.delta, solver)
-        solution = Solution(
-            kind=inst.kind,
-            length=length,
-            visited=len(set(path.visits)),
-            visits=list(path.visits),
-            config=config,
-        )
+        paths = [path]
     elif inst.kind == "mktsp":
-        multi, total = solve_mktsp(
+        multi, length = solve_mktsp(
             points, [tuple(p) for p in inst.pairs], inst.k, inst.delta,
             window_solver=solver,
         )
-        solution = Solution(
-            kind=inst.kind,
-            length=total,
-            visited=len(multi.visited_ids()),
-            visits_per_path=[list(p.visits) for p in multi.paths],
-            config=config,
-        )
+        paths = multi.paths
     else:
         result = solve_orienteering(
             OrienteeringInstance(points, inst.root, inst.budget, inst.delta),
             window_solver=solver,
         )
-        solution = Solution(
-            kind=inst.kind,
-            length=result.length,
-            visited=result.visited,
-            visits=list(result.path.visits),
-            config=config,
-        )
+        paths, length = [result.path], result.length
+    solution = Solution.of(inst.kind, length, [p.visits for p in paths], config)
 
     report = verify_solution(inst, solution, oracle_check=args.oracle_check)
     if not report.passed:

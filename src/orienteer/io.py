@@ -1,9 +1,13 @@
 """Versioned JSON instance and solution files.
 
 Both formats carry an explicit ``version`` field; unknown versions are a hard
-error rather than a best-effort parse.  Serialization is deterministic: fixed
-key order, two-space indentation, and shortest round-trip float repr, so equal
-objects produce byte-identical files (a property the golden tests rely on).
+error rather than a best-effort parse.  Each kind's fields are fixed: an
+instance carries the shared fields and then ``KIND_FIELDS[kind]``, and a
+solution holds its visit sequences in ``SEQUENCE_FIELD[kind]``.  A field of
+another kind, or an unknown field, is malformed input in either format.
+Serialization is deterministic: fixed key order, two-space indentation, and
+shortest round-trip float repr, so equal objects produce byte-identical files
+(a property the golden tests rely on).
 """
 
 from __future__ import annotations
@@ -19,7 +23,21 @@ from .geometry import PointSet
 
 FORMAT_VERSION = 1
 
-KINDS = ("ktsp", "mktsp", "orienteering")
+# The fields that instance files, and solution files, of every kind share.
+INSTANCE_FIELDS = ("version", "kind", "dimension", "points", "delta")
+SOLUTION_FIELDS = ("version", "kind", "length", "visited", "config", "verification")
+# The fields each instance kind carries after the shared ones, in file order.
+KIND_FIELDS = {
+    "ktsp": ("source", "sink", "k"),
+    "mktsp": ("pairs", "k"),
+    "orienteering": ("root", "budget"),
+}
+# The solution field holding each kind's visit sequences: "visits" holds the
+# one path's sequence, "visits_per_path" one sequence per pair.
+SEQUENCE_FIELD = {"ktsp": "visits", "mktsp": "visits_per_path", "orienteering": "visits"}
+
+KINDS = tuple(KIND_FIELDS)
+_KIND_ONLY_FIELDS = tuple(dict.fromkeys(f for fields in KIND_FIELDS.values() for f in fields))
 
 
 def _is_int(value) -> bool:
@@ -40,6 +58,23 @@ def _is_real(value) -> bool:
 
 def _is_id_list(value) -> bool:
     return isinstance(value, list) and all(_is_int(v) for v in value)
+
+
+def _known(kind) -> str:
+    if kind not in KINDS:
+        raise InputError(f"unknown problem kind {kind!r}")
+    return kind
+
+
+def _reject_unknown(data: dict, shared: tuple, own: tuple, what: str):
+    unknown = set(data).difference(shared, own)
+    if unknown:
+        raise InputError(f"a {what} carries no {', '.join(sorted(unknown))}")
+
+
+def _one_per_path(kind: str, held) -> list:
+    """A kind's sequence field value as a list of sequences, one per path."""
+    return [held] if SEQUENCE_FIELD[kind] == "visits" else held
 
 
 @dataclass
@@ -66,8 +101,10 @@ class Instance:
         return PointSet(self.points)
 
     def validate(self) -> "Instance":
-        if self.kind not in KINDS:
-            raise InputError(f"unknown problem kind {self.kind!r}")
+        own = KIND_FIELDS[_known(self.kind)]
+        foreign = [f for f in _KIND_ONLY_FIELDS if f not in own and getattr(self, f) is not None]
+        if foreign:
+            raise InputError(f"a {self.kind} instance carries no {', '.join(foreign)}")
         if not isinstance(self.points, (list, tuple)) or not self.points:
             raise InputError("instance needs a nonempty list of points")
         if not all(isinstance(p, (list, tuple)) and all(_is_real(c) for c in p) for p in self.points):
@@ -93,16 +130,12 @@ class Instance:
             check_id("root", self.root)
             if not _is_real(self.budget) or math.isnan(self.budget) or self.budget < 0:
                 raise InputError("orienteering needs a nonnegative budget")
-            if self.k is not None or self.pairs is not None:
-                raise InputError("budget and k/pairs are mutually exclusive")
             if not (self.delta < 1):
                 raise InputError("orienteering delta must lie in (0, 1)")
         elif self.kind == "ktsp":
             check_id("source", self.source)
             check_id("sink", self.sink)
             check_k(2)
-            if self.budget is not None:
-                raise InputError("budget and k are mutually exclusive")
         else:  # mktsp
             if not isinstance(self.pairs, (list, tuple)) or not self.pairs:
                 raise InputError("mktsp needs a list of endpoint pairs")
@@ -112,8 +145,6 @@ class Instance:
                 check_id("pair source", pair[0])
                 check_id("pair sink", pair[1])
             check_k(1)
-            if self.budget is not None:
-                raise InputError("budget and k are mutually exclusive")
         return self
 
     def to_dict(self) -> dict:
@@ -124,16 +155,8 @@ class Instance:
             "points": self.points,
             "delta": self.delta,
         }
-        if self.kind == "orienteering":
-            out["root"] = self.root
-            out["budget"] = self.budget
-        elif self.kind == "ktsp":
-            out["source"] = self.source
-            out["sink"] = self.sink
-            out["k"] = self.k
-        else:
-            out["pairs"] = self.pairs
-            out["k"] = self.k
+        for name in KIND_FIELDS[self.kind]:
+            out[name] = getattr(self, name)
         return out
 
     @staticmethod
@@ -143,22 +166,11 @@ class Instance:
         version = data.get("version")
         if version != FORMAT_VERSION:
             raise InputError(f"unsupported instance version {version!r}")
-        known = {"version", "kind", "dimension", "points", "delta", "root",
-                 "budget", "source", "sink", "k", "pairs"}
-        unknown = set(data) - known
-        if unknown:
-            raise InputError(f"unknown instance fields: {sorted(unknown)}")
-        inst = Instance(
-            kind=data.get("kind"),
-            points=data.get("points"),
-            delta=data.get("delta", 0.5),
-            root=data.get("root"),
-            budget=data.get("budget"),
-            source=data.get("source"),
-            sink=data.get("sink"),
-            k=data.get("k"),
-            pairs=data.get("pairs") or None,
-        )
+        kind = data.get("kind")
+        own = KIND_FIELDS[_known(kind)]
+        _reject_unknown(data, INSTANCE_FIELDS, own, f"{kind} instance")
+        inst = Instance(kind, data.get("points"), data.get("delta", 0.5),
+                        **{name: data.get(name) for name in own})
         inst.validate()
         if "dimension" in data and data["dimension"] != inst.dimension:
             raise InputError("declared dimension does not match the points")
@@ -170,25 +182,36 @@ class Solution:
     kind: str
     length: float
     visited: int
-    visits: list | None = None  # ktsp / orienteering: one visit sequence
-    visits_per_path: list | None = None  # mktsp: one sequence per pair
+    visits: list | None = None  # one visit sequence
+    visits_per_path: list | None = None  # one sequence per pair
     config: dict = field(default_factory=dict)
     verification: str = "unchecked"
 
+    @staticmethod
+    def of(kind: str, length: float, sequences, config: dict) -> "Solution":
+        """The solution visiting ``sequences``, one per path, in order."""
+        seqs = [list(seq) for seq in sequences]
+        visited = len({v for seq in seqs for v in seq})
+        if SEQUENCE_FIELD[kind] == "visits":
+            (seqs,) = seqs  # the one path
+        return Solution(kind, length, visited, config=config, **{SEQUENCE_FIELD[kind]: seqs})
+
+    @property
+    def sequences(self) -> list:
+        """The visit sequences, one per path; a missing one reads as empty."""
+        return _one_per_path(self.kind, getattr(self, SEQUENCE_FIELD[self.kind]) or [])
+
     def to_dict(self) -> dict:
-        out = {
+        name = SEQUENCE_FIELD[self.kind]
+        return {
             "version": FORMAT_VERSION,
             "kind": self.kind,
             "length": self.length,
             "visited": self.visited,
+            name: getattr(self, name),
+            "config": self.config,
+            "verification": self.verification,
         }
-        if self.visits is not None:
-            out["visits"] = self.visits
-        if self.visits_per_path is not None:
-            out["visits_per_path"] = self.visits_per_path
-        out["config"] = self.config
-        out["verification"] = self.verification
-        return out
 
     @staticmethod
     def from_dict(data: dict) -> "Solution":
@@ -197,27 +220,17 @@ class Solution:
         if data.get("version") != FORMAT_VERSION:
             raise InputError(f"unsupported solution version {data.get('version')!r}")
         kind = data.get("kind")
-        if kind not in KINDS:
-            raise InputError(f"unknown problem kind {kind!r}")
-        if kind == "mktsp":
-            paths = data.get("visits_per_path")
-            if not isinstance(paths, list) or not all(_is_id_list(seq) for seq in paths):
-                raise InputError("mktsp solution needs visits_per_path, lists of point ids")
-        elif not _is_id_list(data.get("visits")):
-            raise InputError(f"{kind} solution needs a visits list of point ids")
+        name = SEQUENCE_FIELD[_known(kind)]
+        _reject_unknown(data, SOLUTION_FIELDS, (name,), f"{kind} solution")
+        seqs = _one_per_path(kind, data.get(name))
+        if not isinstance(seqs, list) or not all(_is_id_list(seq) for seq in seqs):
+            raise InputError(f"{kind} solution needs {name} of point ids")
         if not _is_real(data.get("length")):
             raise InputError("solution length must be a number")
         if not _is_int(data.get("visited")):
             raise InputError("solution visited count must be an integer")
-        return Solution(
-            kind=kind,
-            length=float(data["length"]),
-            visited=data["visited"],
-            visits=data.get("visits"),
-            visits_per_path=data.get("visits_per_path"),
-            config=data.get("config", {}),
-            verification=data.get("verification", "unchecked"),
-        )
+        return Solution(kind, float(data["length"]), data["visited"], config=data.get("config", {}),
+                        verification=data.get("verification", "unchecked"), **{name: data[name]})
 
 
 def dumps(obj) -> str:

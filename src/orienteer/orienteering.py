@@ -95,7 +95,8 @@ def solve_orienteering(
     distinct points rooted at the start (using k - 1 segments when k is
     small), asks the multi-path solver for a k-visit system over the
     skeleton pairs, and returns the first concatenation within budget.  An
-    accepted system at k visits at least k points, so no smaller k could
+    accepted system at k visits exactly k points (``solve_mktsp`` raises
+    ConsistencyError for a read-back that does not), so no smaller k could
     beat it.  When nothing is accepted the answer is the root alone.
 
     The skeleton pool of each segment count is one array of rows (root,
@@ -117,7 +118,7 @@ def solve_orienteering(
     # requested at delta' = 0, where the oracle contract "at most
     # (1 + delta') times the optimum" is exact: rooted[k, q] is the optimal
     # root -> q path over exactly k points.  An accepted system at k joins
-    # into a root -> s_m walk over at least k distinct points, so it is at
+    # into a root -> s_m path over exactly k distinct points, so it is at
     # least reach[k, s_m], the least rooted[k', s_m] over k' >= k.  A
     # (k + 1)-point rooted path is a k-point one plus an edge, so the least
     # rooted path never shortens as k grows, and reach[k].min() is the least
@@ -153,7 +154,6 @@ def solve_orienteering(
             continue  # provably no k-visit rooted path fits the budget
         m_eff = min(m_full, k - 1)
         oracle_delta = 1.0 / m_eff
-        accept_visits = math.ceil((1.0 - 1.0 / m_eff) * k)
         rows = skeletons_for(m_eff)
         rows = rows[reach[k, rows[:, -1]] <= limit]
         for skeleton in map(tuple, rows.tolist()):
@@ -170,8 +170,6 @@ def solve_orienteering(
                 continue
             path = concatenate_skeleton_paths(result[0], skeleton)
             visited = len(set(path.visits))
-            if visited < accept_visits:
-                continue
             length = path_length(path)
             if length > limit:
                 continue

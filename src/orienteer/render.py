@@ -50,12 +50,7 @@ def render_svg(instance: Instance, solution: Solution | None = None, show_window
         f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">'
     ]
 
-    seqs: list[list[int]] = []
-    if solution is not None:
-        if instance.kind == "mktsp":
-            seqs = [list(s) for s in (solution.visits_per_path or [])]
-        else:
-            seqs = [list(solution.visits or [])]
+    seqs = [] if solution is None else solution.sequences
 
     if show_windows and len(seqs) == 1 and len(seqs[0]) >= 2:
         host = PointSet(coords)

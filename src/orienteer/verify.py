@@ -42,11 +42,7 @@ def verify_solution(instance: Instance, solution: Solution, oracle_check: bool =
     if solution.kind != instance.kind:
         return report
 
-    if instance.kind == "mktsp":
-        seqs = solution.visits_per_path or []
-    else:
-        seqs = [solution.visits or []]
-
+    seqs = solution.sequences
     in_range = all(0 <= v < n for seq in seqs for v in seq)
     report.add("indices in range", in_range)
     if not in_range:

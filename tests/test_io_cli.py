@@ -23,6 +23,22 @@ def test_instance_round_trip(tmp_path):
     assert again.to_dict() == inst.to_dict()
 
 
+@pytest.mark.parametrize("kind", ["ktsp", "mktsp", "orienteering"])
+def test_files_round_trip_through_the_field_tables(tmp_path, kind):
+    # A solution built from its sequences reads them back from its file,
+    # and a loaded file of either format dumps to the bytes it was read from.
+    sequences = [[0, 2, 1, 3], [4, 5]] if kind == "mktsp" else [[0, 2, 1, 3]]
+    sol = Solution.of(kind, 2.5, [tuple(seq) for seq in sequences], {"delta": 0.5})
+    assert sol.visited == sum(map(len, sequences))
+    path = tmp_path / "sol.json"
+    path.write_text(dumps(sol))
+    assert load_solution(path).sequences == sequences
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(dumps(generate(seed=5, n=6, d=2, kind=kind)))
+    for file, load in ((path, load_solution), (inst_path, load_instance)):
+        assert dumps(load(file)) == file.read_text()
+
+
 def test_unknown_version_rejected(tmp_path):
     inst = generate(seed=5, n=6, d=2, kind="ktsp")
     data = inst.to_dict()
@@ -332,6 +348,9 @@ VALID_FILES = {
               "pairs": [[0, 1], [2, 3]], "k": 4},
     "solution": {"version": 1, "kind": "ktsp", "length": 3.0, "visited": 4,
                  "visits": [0, 1, 2, 3], "config": {}, "verification": "passed"},
+    "mktsp-solution": {"version": 1, "kind": "mktsp", "length": 2.0, "visited": 4,
+                       "visits_per_path": [[0, 1], [2, 3]], "config": {},
+                       "verification": "passed"},
 }
 
 
@@ -357,15 +376,28 @@ VALID_FILES = {
         ("solution", "visits", "01"),
         ("solution", "visits", [0, 1.0]),
         ("solution", "visits", [0, None]),
+        # Each kind's fields are fixed: another kind's field is malformed,
+        # with or without a value, and so is an unknown solution field.
+        pytest.param("ktsp", "root", 0, id="ktsp-with-root"),
+        pytest.param("ktsp", "pairs", [[0, 3]], id="ktsp-with-pairs"),
+        pytest.param("mktsp", "root", 0, id="mktsp-with-root"),
+        pytest.param("mktsp", "source", 0, id="mktsp-with-source"),
+        pytest.param("orienteering", "source", 0, id="orienteering-with-source"),
+        pytest.param("orienteering", "pairs", [], id="orienteering-with-empty-pairs"),
+        pytest.param("ktsp", "budget", None, id="ktsp-with-null-budget"),
+        pytest.param("solution", "visits_per_path", [[0, 3]], id="ktsp-solution-with-visits-per-path"),
+        pytest.param("mktsp-solution", "visits", [0, 1], id="mktsp-solution-with-visits"),
+        pytest.param("solution", "surprise", True, id="solution-with-unknown-field"),
     ],
 )
 def test_malformed_file_exits_2(tmp_path, capsys, base, field, value):
     inst_file, sol_file = tmp_path / "inst.json", tmp_path / "sol.json"
     inst_file.write_text(json.dumps(VALID_FILES["ktsp"]))
     sol_file.write_text(json.dumps(VALID_FILES["solution"]))
-    bad = sol_file if base == "solution" else inst_file
+    is_solution = base.endswith("solution")
+    bad = sol_file if is_solution else inst_file
     bad.write_text(json.dumps({**VALID_FILES[base], field: value}))
-    if base == "solution":
+    if is_solution:
         argv = ["verify", str(inst_file), str(sol_file)]
     else:
         argv = ["solve", str(inst_file), "-o", str(tmp_path / "out.json")]

@@ -4,14 +4,20 @@ import numpy as np
 import pytest
 
 from orienteer import EndpointArrays, PointSet, solve_ktsp, window_solver
-from orienteer.errors import ConsistencyError, DegenerateInputError, InfeasibleError, InputError
+from orienteer.errors import (
+    CapacityError,
+    ConsistencyError,
+    DegenerateInputError,
+    InfeasibleError,
+    InputError,
+)
 from orienteer.generate import DISTRIBUTIONS, generate
 from orienteer.geometry import rotate_to_axis
 from orienteer.ktsp import _sweep_ktsp
 from orienteer.oracle import brute_ktsp, seq_length
 from orienteer.paths import excess, path_length
 from orienteer.windows import decompose_path
-from orienteer.window_solver import ExactWindowSolver
+from orienteer.window_solver import DEFAULT_POINT_CAP, ExactWindowSolver
 
 
 def test_monotone_collinear_instance():
@@ -46,6 +52,15 @@ def test_input_validation():
         solve_ktsp(pts, 0, 1, 1)
     with pytest.raises(InputError):
         solve_ktsp(pts, 0, 1, 3, delta=0.0)
+
+
+def test_over_the_point_cap_a_solve_raises():
+    # The whole set is the one window a solve reads, so one point over the
+    # oracle's cap raises CapacityError, at a small k too.
+    pts = PointSet(np.random.default_rng(3).random((DEFAULT_POINT_CAP + 1, 2)))
+    for k in (2, DEFAULT_POINT_CAP // 2):
+        with pytest.raises(CapacityError):
+            solve_ktsp(pts, 0, DEFAULT_POINT_CAP, k)
 
 
 def test_matches_brute_force(rng):

@@ -5,12 +5,18 @@ import pytest
 
 from orienteer import PointSet, mktsp, solve_ktsp, solve_mktsp
 from orienteer.directions import angle_margin
-from orienteer.errors import ConsistencyError, DegenerateInputError, InfeasibleError, InputError
+from orienteer.errors import (
+    CapacityError,
+    ConsistencyError,
+    DegenerateInputError,
+    InfeasibleError,
+    InputError,
+)
 from orienteer.generate import DISTRIBUTIONS, generate
 from orienteer.mktsp import _sweep_mktsp, _window_configs, window_accuracy
 from orienteer.oracle import brute_mktsp
 from orienteer.paths import Path, path_length
-from orienteer.window_solver import ExactWindowSolver, WindowSolution
+from orienteer.window_solver import DEFAULT_POINT_CAP, ExactWindowSolver, WindowSolution
 
 
 def random_pairs(rng, n, m):
@@ -351,6 +357,17 @@ def test_the_one_window_read_is_optimal_and_never_longer_than_the_sweep_on_ties(
         assert len(multi.visited_ids()) == k, seed
         moved += [p.visits for p in multi.paths] != [p.visits for p in sweep_multi.paths]
     assert moved > 0  # the draws do reach ties the two break apart
+
+
+def test_over_the_point_cap_a_solve_raises_before_the_straight_line_early_out():
+    # The whole set is the one window, so past the oracle's point cap a
+    # solve raises CapacityError, also under a cost cap that the pairs'
+    # straight lines alone exceed.
+    pts = PointSet(np.random.default_rng(3).random((DEFAULT_POINT_CAP + 1, 2)))
+    direct = pts.distance(0, 1) + pts.distance(2, 3)
+    for cost_cap in (None, direct / 2):
+        with pytest.raises(CapacityError):
+            solve_mktsp(pts, [(0, 1), (2, 3)], 5, cost_cap=cost_cap)
 
 
 class CallSpy(ExactWindowSolver):

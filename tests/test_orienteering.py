@@ -13,7 +13,7 @@ from orienteer import (
     solve_orienteering,
 )
 from orienteer import orienteering
-from orienteer.errors import CapacityError, InputError
+from orienteer.errors import CapacityError, ConsistencyError, InputError
 from orienteer.generate import DISTRIBUTIONS, generate
 from orienteer.io import Solution
 from orienteer.mktsp import _sweep_mktsp, solve_mktsp
@@ -21,7 +21,7 @@ from orienteer.oracle import brute_orienteering
 from orienteer.orienteering import OrienteeringInstance, segment_count
 from orienteer.paths import excess, path_length
 from orienteer.verify import verify_solution
-from orienteer.window_solver import DEFAULT_POINT_CAP, ExactWindowSolver
+from orienteer.window_solver import DEFAULT_POINT_CAP, ExactWindowSolver, WindowSolution
 
 
 def test_skeleton_formula_examples():
@@ -107,6 +107,29 @@ def test_over_the_point_cap_the_bound_table_request_raises(monkeypatch, budget):
     pts = PointSet(np.random.default_rng(3).random((DEFAULT_POINT_CAP + 1, 2)))
     with pytest.raises(CapacityError):
         solve_orienteering(OrienteeringInstance(pts, 0, budget, 0.5))
+
+
+class OnePointShortWindowSolver(ExactWindowSolver):
+    """The exact oracle, but its read-back system drops the first interior
+    point of its paths and still reports the exact total."""
+
+    def solve_window(self, host, point_ids, endpoints, k, delta_prime=0.0):
+        sol = super().solve_window(host, point_ids, endpoints, k, delta_prime)
+        paths = list(sol.paths)
+        j = next(j for j, p in enumerate(paths) if p is not None and len(p.visits) > 2)
+        paths[j] = Path(host, paths[j].visits[:1] + paths[j].visits[2:])
+        return WindowSolution(sol.total_length, tuple(paths), sol.visited_count - 1)
+
+
+def test_a_skeleton_system_one_point_short_is_a_consistency_error():
+    # The (m,k)-TSP read rejects a system over other than k points, so no
+    # joined skeleton path over fewer than k points reaches the scan.  At
+    # k = n = 6 with two segments, three of the six points are interior.
+    pts = PointSet(np.random.default_rng(7).random((6, 2)))
+    with pytest.raises(ConsistencyError, match="not a system over 6 points"):
+        solve_orienteering(
+            OrienteeringInstance(pts, 0, 10.0, 0.5), window_solver=OnePointShortWindowSolver()
+        )
 
 
 def test_guarantee_on_random_instances(rng):
