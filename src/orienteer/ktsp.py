@@ -26,8 +26,8 @@ sink, k), the optimum, which nothing else the sweep builds can undercut.
 So ``solve_ktsp`` makes one ``single_slot_table`` request over all points at
 delta' = 0, stopped at k, and reads that one path with ``path``: no V and no
 bridges.  The exact oracle's window table reads a path from a rooted
-Held-Karp pass from the source over the whole set and runs no all-starts
-pass, since nothing reads its ``run``.  The rotation fixes the table's order,
+Held-Karp pass from the source over the whole set and makes none of the
+per-start passes its ``run`` folds, since nothing reads that.  The rotation fixes the table's order,
 so the sums and ties are the ones the sweep's first-window read gives.  A
 read-back that is not a source -> sink path over k distinct points raises
 ConsistencyError.

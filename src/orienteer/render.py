@@ -26,6 +26,18 @@ def _fmt(x: float) -> str:
     return f"{x:.4f}"
 
 
+def _checked_sequences(instance: Instance, solution: Solution) -> list:
+    """The solution's visit sequences, once its kind is the instance's and
+    each id names one of the instance's points."""
+    if solution.kind != instance.kind:
+        raise InputError(f"solution kind {solution.kind} does not match instance kind {instance.kind}")
+    seqs = solution.sequences
+    outside = [v for seq in seqs for v in seq if not 0 <= v < instance.n]
+    if outside:
+        raise InputError(f"solution visits point {outside[0]}, outside the instance's {instance.n} points")
+    return seqs
+
+
 def render_svg(instance: Instance, solution: Solution | None = None, show_windows: bool = False) -> str:
     if instance.dimension != 2:
         raise InputError("rendering supports d = 2 only")
@@ -50,7 +62,7 @@ def render_svg(instance: Instance, solution: Solution | None = None, show_window
         f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">'
     ]
 
-    seqs = [] if solution is None else solution.sequences
+    seqs = [] if solution is None else _checked_sequences(instance, solution)
 
     if show_windows and len(seqs) == 1 and len(seqs[0]) >= 2:
         host = PointSet(coords)

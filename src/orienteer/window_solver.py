@@ -44,23 +44,22 @@ than asked, since no caller reads one above ``max_visits``.  Here a
 ``max_visits`` other than None or an int >= 1, or a root outside the
 window, raises InputError.
 
-Both passes are one Held-Karp kernel that stores each layer of visited sets
-of one size compactly, as dp[last, start, set] over the positions of the
-set's own points, so it carries no cell for a point outside the set.  Each
-layer is one vectorised min-plus step over the one before, taken over
-chunks of sets so that no temporary outgrows ``CHUNK_BYTES``.  Each table
-class owns its pass, and a table does no work that its reads do not need.
-An all-starts table makes its pass on its first ``run``, folding each
-layer into its ranges as it arrives and then dropping it.  A rooted pass
-has one start column, so its table makes it up front and keeps every
-layer (8.9 MB at 18 points), folds them into its prefixes on its first
-``run`` only, and reads a path back by walking over those layers' sets
-inside the prefix, with no fold.  That walk is the module's one read-back:
-an all-starts table's ``path`` builds a rooted table over the path's run,
-rooted at its start, and walks that, so it pays for neither the all-starts
-pass nor a fold.  The walk picks the ties ``solve_window`` would pick, so a
-k-TSP solve reads its paths from the kernel and never calls
-``solve_window``.
+Both tables read one Held-Karp kernel, a pass from one start point over
+the other points of a window.  It stores each layer of visited sets of one
+size compactly, as dp[last, set] over the positions of the set's own
+points, so it carries no cell for a point outside the set.  Each layer is
+one vectorised min-plus step over the one before, taken over chunks of
+sets so that no temporary outgrows ``CHUNK_BYTES``.  A table does no work
+that its reads do not need.  A rooted table makes its pass up front and
+keeps every layer (8.9 MB at 18 points), folds them into its prefixes on
+its first ``run`` only, and reads a path back by walking over those
+layers' sets inside the prefix, with no fold.  A window table's first
+``run`` makes a rooted table from each start in turn and folds its layers
+into the table's ranges.  Its ``path`` builds one rooted table over the
+path's run, rooted at its start, and walks that, so it pays for neither
+the per-start passes nor a fold.  That walk is the module's one read-back.
+It picks the ties ``solve_window`` would pick, so a k-TSP solve reads its
+paths from the kernel and never calls ``solve_window``.
 """
 
 from __future__ import annotations
@@ -222,19 +221,17 @@ class SingleSlotTable:
 
     ``pts`` lists the window in sweep order and ``dmat`` holds the distances
     between them in that order; both methods take positions in that order.
-    The first ``run`` makes one all-starts ``_held_karp`` pass over the
-    window that stops after its layer of ``max_visits``-point paths.  It
-    folds each layer by ``np.minimum.at`` into the entry of its sets'
-    (lowest, highest) point and their (last, start) points as the layer
-    arrives, then drops it.  A set lies inside the run lo..hi exactly when
-    its lowest point is at least lo and its highest at most hi, so a
-    prefix-min over (lo, hi) yields every run's lengths.
+    The first ``run`` makes a ``RootedTable`` from each start c in turn,
+    stopped after its paths over ``max_visits`` points.  It folds each of
+    that table's layers by ``np.minimum.at`` into the entry of its paths'
+    (lowest, highest) point, c counted, and their (last, start) points, and
+    drops the table before it makes the next.  A path lies inside the run
+    lo..hi exactly when its lowest point is at least lo and its highest at
+    most hi, so a prefix-min over (lo, hi) yields every run's lengths.
 
-    The layers of the all-starts pass take w * (w + 1) * 2**(w - 2) cells
-    in all, so the table keeps none: ``path`` reads one optimal path of a
-    run from a ``RootedTable`` over that run, rooted at the path's start,
-    and never makes the all-starts pass, so a table that only reads paths
-    back skips it.
+    ``path`` reads one optimal path of a run from a ``RootedTable`` over
+    that run alone, rooted at the path's start, so a table that only reads
+    paths back makes none of the per-start passes.
     """
 
     def __init__(self, pts: tuple, dmat: np.ndarray, max_visits: int | None = None):
@@ -244,16 +241,20 @@ class SingleSlotTable:
 
     @functools.cached_property
     def _ranges(self) -> np.ndarray:
-        """ranges[lo, hi, k, d, c], from the all-starts pass on the first ``run``."""
+        """ranges[lo, hi, k, d, c], from one rooted pass per start on the first ``run``."""
         w, top = len(self.pts), self._top
         ranges = np.full((w, w, top + 1, w, w), INF)
-        for k, layer in enumerate(itertools.islice(_held_karp(self._dmat), top), 1):
-            ids = _plan(w, k)[0]
-            for part in _chunks(ids.shape[1], k * k):
-                pos = ids[:, part].astype(np.intp)
-                at = ((pos[0] * w + pos[-1]) * (top + 1) + k) * w
-                at = (at + pos[:, None]) * w + pos
-                np.minimum.at(ranges.reshape(-1), at.reshape(-1), layer[:, :, part].reshape(-1))
+        for c in range(w):
+            ranges[c, c, 1, c, c] = 0.0  # the start alone
+            rooted = None  # free the last pass before the next one is built
+            rooted = RootedTable(self.pts, c, self._dmat, top)
+            for k, layer in enumerate(rooted._layers, 1):
+                ids = _plan(w - 1, k)[0]
+                for part in _chunks(ids.shape[1], k):
+                    pos = rooted._others[ids[:, part]]
+                    at = np.minimum(pos[0], c) * w + np.maximum(pos[-1], c)
+                    at = ((at * (top + 1) + k + 1) * w + pos) * w + c
+                    np.minimum.at(ranges.reshape(-1), at.reshape(-1), layer[:, part].reshape(-1))
         for lo in range(w - 2, -1, -1):
             np.minimum(ranges[lo], ranges[lo + 1], out=ranges[lo])
         for hi in range(1, w):
@@ -283,16 +284,16 @@ class RootedTable:
     ``pts`` lists the window in sweep order, ``root`` is the root's position
     in it and ``dmat`` holds the distances between them in that order; both
     methods take positions in that order.  The constructor makes one
-    start-mode ``_held_karp`` pass from the root over the other points, in
-    ascending position order, that stops after its layer of
-    ``max_visits``-point paths.  The pass has one start, so its layers hold
-    one cell per (set, last point), 8.9 MB in all at 18 points, and the
-    table keeps them for ``path`` to walk back over.  The first ``run``
-    folds each layer by ``np.minimum.at`` into the entry of its sets'
-    highest point, the root counted, and their last point; a path lies
-    inside the prefix pts[0..hi] exactly when that point is at most hi, so
-    a prefix-min over hi yields every prefix's lengths.  ``path`` never
-    folds, so a table that only reads paths back skips that work.
+    ``_held_karp`` pass from the root over the other points, in ascending
+    position order, that stops after its layer of ``max_visits``-point
+    paths.  Its layers hold one cell per (set, last point), 8.9 MB in all
+    at 18 points, and the table keeps them for ``path`` to walk back over.
+    The first ``run`` folds each layer by ``np.minimum.at`` into the entry
+    of its sets' highest point, the root counted, and their last point; a
+    path lies inside the prefix pts[0..hi] exactly when that point is at
+    most hi, so a prefix-min over hi yields every prefix's lengths.
+    ``path`` never folds, so a table that only reads paths back skips that
+    work.
     """
 
     def __init__(self, pts: tuple, root: int, dmat: np.ndarray, max_visits: int | None = None):
@@ -318,7 +319,7 @@ class RootedTable:
             for part in _chunks(ids.shape[1], k):
                 pos = others[ids[:, part]]
                 at = (np.maximum(pos[-1], root) * (top + 1) + k + 1) * w + pos
-                np.minimum.at(prefixes.reshape(-1), at.reshape(-1), layer[:, 0, part].reshape(-1))
+                np.minimum.at(prefixes.reshape(-1), at.reshape(-1), layer[:, part].reshape(-1))
         return np.minimum.accumulate(prefixes, axis=0, out=prefixes)
 
     def run(self, hi: int) -> np.ndarray:
@@ -352,19 +353,19 @@ class RootedTable:
         d -= d > r  # d's position among the other points
         pos = _plan(w, k - 1)[0][:, : math.comb(hi, k - 1)]
         sel = np.flatnonzero((pos == d).any(0))
-        costs = layers[k - 2][(pos[:, sel] < d).sum(0), 0, sel]
+        costs = layers[k - 2][(pos[:, sel] < d).sum(0), sel]
         best = costs.min(initial=INF)
         if best == INF:
             return None
         row = min(sel[costs == best].tolist(), key=lambda r: sorted(ids[p] for p in pos[:, r]))
         walk = [d]
         for size in range(k - 1, 1, -1):
-            cur, (pos, _, preds) = walk[-1], _plan(w, size)
+            cur, (pos, preds) = walk[-1], _plan(w, size)
             j = np.flatnonzero(pos[:, row] == cur)[0]
-            target = layers[size - 1][j, 0, row]
+            target = layers[size - 1][j, row]
             row = preds[j, row]
             here = _plan(w, size - 1)[0][:, row]
-            ties = here[layers[size - 2][:, 0, row] + dmat[here, cur] == target]
+            ties = here[layers[size - 2][:, row] + dmat[here, cur] == target]
             walk.append(max(ties.tolist(), key=ids.__getitem__))
         return (self.pts[r],) + tuple(ids[p] for p in reversed(walk))
 
@@ -385,16 +386,15 @@ def _masks(w: int) -> tuple:
 
 
 #: A pass over w points asks for the plans of the set sizes it reaches, so
-#: every pair 1 <= k <= w <= the cap is kept: all 171 take 22.4 MB, most of
+#: every pair 1 <= k <= w <= the cap is kept: all 171 take 22.3 MB, most of
 #: it predecessor rows.
 @functools.lru_cache(maxsize=math.comb(DEFAULT_POINT_CAP + 1, 2))
 def _plan(w: int, k: int) -> tuple:
-    """The index plan (ids, source, preds) of the k-point sets of a w-point
-    pass, in ascending order of their masks: the points of each set by
-    position (a (k, rows) array, ascending down each column), source[j, s],
-    the position that start position s takes when the point at position j
-    is removed (-1 when s is j), and preds[j, row], the row of that smaller
-    set in its own layer (0, the empty set, for k = 1).
+    """The index plan (ids, preds) of the k-point sets of a w-point pass,
+    in ascending order of their masks: the points of each set by position
+    (a (k, rows) array, ascending down each column) and preds[j, row], the
+    row in its own layer of the set without its point in position j (0,
+    the empty set, for k = 1).
     """
     popcount, where = _masks(w)
     rows = np.flatnonzero(popcount == k)
@@ -405,8 +405,7 @@ def _plan(w: int, k: int) -> tuple:
         low = rest & -rest
         ids[p], preds[p] = popcount[low - 1], where[rows ^ low]  # low - 1 = 2**i - 1 has i points
         rest ^= low
-    j, s = np.ogrid[:k, :k]
-    return ids, np.where(s == j, -1, s - (s > j)), preds
+    return ids, preds
 
 
 def _chunks(rows: int, cells: int):
@@ -416,47 +415,33 @@ def _chunks(rows: int, cells: int):
     return (slice(a, a + step) for a in range(0, rows, step))
 
 
-def _held_karp(dmat: np.ndarray, start: np.ndarray | None = None):
-    """Yield the Held-Karp layers of a pass over the w points of ``dmat``.
+def _held_karp(dmat: np.ndarray, start: np.ndarray):
+    """Yield the Held-Karp layers of a pass from one start point over the w
+    points of ``dmat``, given the distances ``start`` from that point, which
+    lies outside ``dmat``, to each of them.
 
-    Layer k - 1 holds dp[last, start, row]: the shortest path that visits
-    exactly the k points of set ``row`` of ``_plan(w, k)``, starts at the
-    point in position ``start`` of that set and ends at the one in position
-    ``last`` (INF when there is none).  Only members are stored, so the
-    layer has k * k * C(w, k) cells.  A step asks only for the plans of the
-    sizes it reads, so a pass its caller stops early builds no others.
-
-    Given ``start``, the distances from a start point outside ``dmat`` to
-    each of its points, as a rooted table runs it, every path begins at that
-    point instead: layer k - 1 holds paths over k + 1 points, and it has one
-    start column.
+    Layer k - 1 holds dp[last, row]: the shortest path that leaves the start
+    point, visits exactly the k points of set ``row`` of ``_plan(w, k)`` and
+    ends at the one in position ``last`` of that set.  Only members are
+    stored, so the layer has k * C(w, k) cells.  A step asks only for the
+    plans of the sizes it reads, so a pass its caller stops early builds no
+    others.
 
     A set ending at position j has one predecessor set, itself without that
-    point, in which the start moves down one position when it lay above j.
-    So each layer is one min-plus step over the (last, start) columns of the
-    one before, taken over chunks of rows.  With one start the minimum is
-    the grown layer itself; with all starts it is remapped to the starts of
-    the grown sets.
+    point, so each layer is one min-plus step over the one before, taken
+    over chunks of rows.
     """
     w = dmat.shape[0]
-    layer = np.zeros((1, 1, w)) if start is None else start.reshape(1, 1, w)
+    layer = start.reshape(1, w)
     yield layer
     for k in range(1, w):
-        ids, source, preds = _plan(w, k + 1)
-        starts = layer.shape[1]
-        grown = np.empty((k + 1, 1 if start is not None else k + 1, ids.shape[1]))
-        for part in _chunks(ids.shape[1], k * starts * (k + 1)):
+        ids, preds = _plan(w, k + 1)
+        grown = np.empty((k + 1, ids.shape[1]))
+        for part in _chunks(ids.shape[1], k * (k + 1)):
             pred = preds[:, part]
-            steps = np.take(layer, pred, axis=2)
-            steps += dmat[np.take(_plan(w, k)[0], pred, axis=1), ids[:, part]][:, None]
-            if start is not None:
-                np.min(steps, axis=0, out=grown[:, :, part].transpose(1, 0, 2))
-            else:
-                best = np.empty((starts + 1, *pred.shape))
-                np.min(steps, axis=0, out=best[:starts])
-                best[starts] = INF  # where source is -1
-                grown[:, :, part] = best[source, np.arange(k + 1)[:, None]]
-        layer = None  # free the layer before the caller reads the next
+            steps = np.take(layer, pred, axis=1)
+            steps += dmat[np.take(_plan(w, k)[0], pred, axis=1), ids[:, part]]
+            np.min(steps, axis=0, out=grown[:, part])
         layer = grown
         yield layer
 

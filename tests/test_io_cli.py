@@ -269,6 +269,34 @@ def test_cli_render_out(tmp_path):
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
 
 
+@pytest.mark.parametrize(
+    "change, show_windows",
+    [
+        ({"visits": 99}, False),
+        ({"visits": -2}, False),
+        ({"visits": -2}, True),
+        ({"kind": "orienteering"}, False),
+    ],
+    ids=["id past the end", "negative id", "negative id with windows", "other kind"],
+)
+def test_cli_render_rejects_a_solution_that_does_not_fit(tmp_path, capsys, change, show_windows):
+    # A visit id outside the instance, or a solution of another kind, is
+    # malformed input (exit 2) and draws nothing.
+    inst_file, sol_file = make_solution_via_cli(tmp_path, "ktsp", n=7)
+    data = json.loads(sol_file.read_text())
+    if "visits" in change:
+        data["visits"][1] = change["visits"]
+    else:
+        data.update(change)
+    sol_file.write_text(json.dumps(data))
+    capsys.readouterr()
+    out = tmp_path / "route.svg"
+    args = ["render", str(inst_file), str(sol_file), "-o", str(out)]
+    assert main(args + ["--show-windows"] * show_windows) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "malformed-input"
+    assert not out.exists()
+
+
 def test_cli_malformed_input_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

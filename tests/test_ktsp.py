@@ -246,11 +246,12 @@ def test_table_path_is_the_window_oracle_path_tie_for_tie(rng, monkeypatch, no_r
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_rooted_table_is_the_window_table_at_its_root(rng, d):
-    # The rooted pass gives the all-starts table's numbers at the root's
-    # start column for every prefix, bit for bit, and its kept layers give
-    # the same paths tie for tie over every prefix; tie-heavy points include
-    # a coincident pair.  A table asked for fewer visits holds the leading
-    # counts and paths of the whole one, and refuses a path over more.
+    # The rooted table's fold over prefixes gives the window table's numbers,
+    # folded over runs, at the root's start column for every prefix, bit for
+    # bit, and its kept layers give the same paths tie for tie over every
+    # prefix; tie-heavy points include a coincident pair.  A table asked for
+    # fewer visits holds the leading counts and paths of the whole one, and
+    # refuses a path over more.
     solver = ExactWindowSolver()
     checked = 0
     for n in (1, 2, 5, 7, 9):
@@ -347,7 +348,7 @@ def test_a_solve_makes_one_request_of_each_table_and_no_window_solve():
     # A sweep asks for each table once.  Its window table holds exactly the
     # points right of the source, so the first window is the rooted table's
     # alone.  A solve asks for one window table, over every point, and reads
-    # one path from it, so the table never makes its all-starts pass.
+    # one path from it, so the table never makes its per-start passes.
     left_of_source = 0
     for seed in range(20):
         rng = np.random.default_rng(seed)

@@ -250,8 +250,9 @@ def bound_draws():
 
 def rooted_bounds(inst):
     """rooted[k, q], the optimal root -> q path length over exactly k
-    points, from the exact whole-set all-starts table (a reference apart
-    from the rooted table the scan reads), and reach[k, q], the least
+    points, read at the root's start column of the exact whole-set window
+    table (a fold over runs, apart from the rooted table's fold over
+    prefixes that the scan reads), and reach[k, q], the least
     rooted[k', q] over k' >= k."""
     n = inst.points.n
     table = ExactWindowSolver().single_slot_table(inst.points, list(range(n)))

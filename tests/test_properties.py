@@ -78,7 +78,7 @@ def ktsp_instances_by_source_rank(draw, left):
 @given(data=st.data())
 def test_ktsp_length_is_the_whole_set_table_optimum(left, data):
     # With the exact oracle the sweep is exact: its length is the optimal
-    # source -> sink path over exactly k points that one all-starts table
+    # source -> sink path over exactly k points that one window table
     # over the whole set gives, whether or not points lie left of the source.
     coords, k = data.draw(ktsp_instances_by_source_rank(left))
     pts = PointSet(coords)

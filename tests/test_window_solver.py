@@ -285,20 +285,18 @@ def test_kernel_equals_the_loops_on_ties_and_coincident_points(rng, monkeypatch,
 
 
 def test_a_fifteen_point_build_stays_under_its_byte_ceiling(monkeypatch):
-    # Besides its ranges, a build holds at most two adjacent layers at once
-    # (a step reads one and grows the next; a fold sees one) and, in a step,
-    # four float temporaries of a chunk of sets: the steps, the distances
-    # added to them, their minimum and its reindexed copy, each at most
-    # CHUNK_BYTES.  SLACK covers the index plans (1.2 MB at 15 points, most
-    # of it predecessor rows, and 0.2 MB of per-mask arrays) and the copies
-    # of distances.  The smaller second ceiling checks that
-    # the peak follows it.
-    SLACK = 2 << 20
+    # Besides its ranges, a build holds the kept layers of one rooted pass at
+    # a time (the pass from each start is dropped before the next is made)
+    # and, in a step or a fold, four float-sized temporaries of a chunk of
+    # sets at most, each at most CHUNK_BYTES.  SLACK covers the index plans
+    # of the passes over 14 points (0.6 MB, most of it predecessor rows, and
+    # 0.1 MB of per-mask arrays) and the copies of distances.  The smaller
+    # second ceiling checks that the peak follows it.
+    SLACK = 1 << 20
     w = 15
     pts = PointSet(np.random.default_rng(15).random((w, 2)))
     ranges_bytes = 8 * w**4 * (w + 1)
-    layer_bytes = [8 * k * k * math.comb(w, k) for k in range(1, w + 1)]
-    two_layers = max(map(sum, zip(layer_bytes, layer_bytes[1:])))
+    layers_bytes = sum(8 * k * math.comb(w - 1, k) for k in range(1, w))
     for chunk_bytes in (window_solver.CHUNK_BYTES, 128 << 10):
         monkeypatch.setattr(window_solver, "CHUNK_BYTES", chunk_bytes)
         window_solver._plan.cache_clear()
@@ -309,15 +307,15 @@ def test_a_fifteen_point_build_stays_under_its_byte_ceiling(monkeypatch):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < ranges_bytes + two_layers + 4 * chunk_bytes + SLACK, (chunk_bytes, peak)
+        assert peak < ranges_bytes + layers_bytes + 4 * chunk_bytes + SLACK, (chunk_bytes, peak)
 
 
 def test_a_fifteen_point_rooted_build_stays_under_its_byte_ceiling(monkeypatch):
     # A rooted build holds its prefixes and every layer of its one-start
     # pass, which the table keeps, and, in a step or a fold, four float-sized
     # temporaries of a chunk of sets at most, each at most CHUNK_BYTES.
-    # SLACK is the all-starts test's.
-    SLACK = 2 << 20
+    # SLACK is the window table's.
+    SLACK = 1 << 20
     w = 15
     pts = PointSet(np.random.default_rng(15).random((w, 2)))
     prefixes_bytes = 8 * w * (w + 1) * w
@@ -361,20 +359,20 @@ def test_the_plans_of_every_size_up_to_the_cap_stay_cached():
 
 
 def test_a_pass_stopped_early_builds_only_the_plans_it_reads():
-    # A 12-point all-starts pass, made by the table's first run, stopped
-    # after its 4-point layer reads the plans of sizes 1 to 4; a rooted pass
-    # over the other 11 points, stopped after its paths over 4 points, those
-    # of sizes 1 to 3.
+    # A 12-point table's first run makes a rooted pass from each start over
+    # the other 11 points; stopped after its paths over 4 points, each pass
+    # reads the plans of sizes 1 to 3 and no others.  A rooted table over
+    # the same points and counts builds none besides.
     pts = PointSet(np.random.default_rng(12).random((12, 2)))
     window_solver._plan.cache_clear()
     try:
         ExactWindowSolver().single_slot_table(pts, range(12), max_visits=4).run(0, 11)
-        ExactWindowSolver().rooted_table(pts, range(12), 5, max_visits=4)
         built = window_solver._plan.cache_info()
-        for pair in [(12, 1), (12, 2), (12, 3), (12, 4), (11, 1), (11, 2), (11, 3)]:
+        ExactWindowSolver().rooted_table(pts, range(12), 5, max_visits=4)
+        for pair in [(11, 1), (11, 2), (11, 3)]:
             window_solver._plan(*pair)
         info = window_solver._plan.cache_info()
-        assert (built.currsize, info.currsize, info.misses) == (7, 7, built.misses)
+        assert (built.currsize, info.currsize, info.misses) == (3, 3, built.misses)
     finally:
         window_solver._plan.cache_clear()
 
