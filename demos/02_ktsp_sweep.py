@@ -10,9 +10,9 @@ independent brute-force enumeration for every k.
 
 Among the sweep's candidates is the whole set as one window, entered at
 the source.  ``solve_ktsp`` reads that one candidate straight from one
-Held-Karp pass, which the oracle's contract makes optimal at delta' = 0.
-The demo runs the full sweep, kept in the package as the reference for
-that read, and checks that it gives the read's visits and length.
+Held-Karp pass, which the exact window oracle makes optimal.  The demo
+runs the full sweep, kept in the package as the reference for that read,
+and checks that it gives the read's visits and length.
 """
 
 import time
@@ -32,9 +32,9 @@ print(f"{'k':>3} {'sweep length':>13} {'brute force':>12} {'excess':>8}  path")
 
 for k in range(2, n + 1):
     t0 = time.time()
-    path, length = _sweep_ktsp(pts, source, sink, k, delta=0.25)
+    path, length = _sweep_ktsp(pts, source, sink, k)
     dt = time.time() - t0
-    read_path, read_length = solve_ktsp(pts, source, sink, k, delta=0.25)
+    read_path, read_length = solve_ktsp(pts, source, sink, k)
     _, opt = brute_ktsp(pts, source, sink, k)
     assert abs(length - opt) <= 1e-9, "sweep must equal the enumeration optimum"
     assert (read_path.visits, read_length) == (path.visits, length), "sweep must equal the read"

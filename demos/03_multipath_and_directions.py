@@ -10,8 +10,8 @@ least 1/(8 m^1.5) with each of them (up to swapping a pair's endpoints).
 
 Among the sweep's candidates is the whole set as one window, entered at each
 pair's source.  ``solve_mktsp`` reads that one candidate with one window
-oracle request, which the oracle's contract makes optimal at delta' = 0, and
-needs no rotation.  The demo runs the full sweep, kept in the package as the
+oracle request, which the exact window oracle makes optimal, and needs no
+rotation.  The demo runs the full sweep, kept in the package as the
 reference for that read, next to it and checks that both give the same
 paths and length.
 """
@@ -54,8 +54,8 @@ for (s, t), flip in zip(pairs, swapped):
 
 # --- the multi-path sweep vs. the one-window read vs. enumeration ------
 for k in range(6, n + 1):
-    multi, total = _sweep_mktsp(pts, pairs, k, delta=0.5)
-    read_multi, read_total = solve_mktsp(pts, pairs, k, delta=0.5)
+    multi, total = _sweep_mktsp(pts, pairs, k)
+    read_multi, read_total = solve_mktsp(pts, pairs, k)
     _, opt = brute_mktsp(pts, pairs, k)
     print(
         f"\nk={k}: sweep total {total:.6f}, read {read_total:.6f}, "

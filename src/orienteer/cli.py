@@ -137,12 +137,11 @@ def cmd_solve(args) -> int:
         "package_version": __version__,
     }
     if inst.kind == "ktsp":
-        path, length = solve_ktsp(points, inst.source, inst.sink, inst.k, inst.delta, solver)
+        path, length = solve_ktsp(points, inst.source, inst.sink, inst.k, window_solver=solver)
         paths = [path]
     elif inst.kind == "mktsp":
         multi, length = solve_mktsp(
-            points, [tuple(p) for p in inst.pairs], inst.k, inst.delta,
-            window_solver=solver,
+            points, [tuple(p) for p in inst.pairs], inst.k, window_solver=solver
         )
         paths = multi.paths
     else:

@@ -19,28 +19,28 @@ window(p_0..p_i, source -> d, k'), one per column i at or right of the
 source, which the sweep reads straight into V (0 + x is x), so the trivial
 one-window decomposition is always among the candidates considered.
 
-The window oracle takes the whole set (it raises CapacityError otherwise),
-and at delta' = 0 its contract, "at most (1 + delta') times the window
-optimum", makes that one-window candidate, window(p_0..p_{n-1}, source ->
-sink, k), the optimum, which nothing else the sweep builds can undercut.
-So ``solve_ktsp`` makes one ``single_slot_table`` request over all points at
-delta' = 0, stopped at k, and reads that one path with ``path``: no V and no
-bridges.  The exact oracle's window table reads a path from a rooted
+The window oracle is exact within its ``point_cap`` (it raises
+CapacityError past it), so that one-window candidate, window(p_0..p_{n-1},
+source -> sink, k), is the optimum, which nothing else the sweep builds can
+undercut.  So ``solve_ktsp`` makes one ``single_slot_table`` request over
+all points, stopped at k, and reads that one path with ``path``: no V and
+no bridges.  The exact oracle's window table reads a path from a rooted
 Held-Karp pass from the source over the whole set and makes none of the
-per-start passes its ``run`` folds, since nothing reads that.  The rotation fixes the table's order,
-so the sums and ties are the ones the sweep's first-window read gives.  A
-read-back that is not a source -> sink path over k distinct points raises
-ConsistencyError.
+per-start passes its ``run`` folds, since nothing reads that.  The rotation
+fixes the table's order, so the sums and ties are the ones the sweep's
+first-window read gives.  Source and sink at the same coordinates have no
+direction to rotate onto the axis, so both reads keep the given frame for
+them.  A read-back that is not a source -> sink path over k distinct points
+raises ConsistencyError.
 
-``_sweep_ktsp`` keeps the full sweep, run at delta' = delta/4, as the
-reference the one-window read is tested against and the base for windows
-narrower than the whole set.  It stores values only, V and the bridge
-blocks of W2, each built once its column is final, and keeps no record of
-which candidate won.  Reconstruction walks back from the end entry and
-re-derives each choice: it rebuilds the candidates of one prefix column at a
-time, takes the first column whose least candidate equals the stored V (the
-same float sums, so the test is exact), and breaks every tie as the fill's
-ordered minimum does.
+``_sweep_ktsp`` keeps the full sweep as the reference the one-window read
+is tested against and the base for windows narrower than the whole set.  It
+stores values only, V and the bridge blocks of W2, each built once its
+column is final, and keeps no record of which candidate won.
+Reconstruction walks back from the end entry and re-derives each choice: it
+rebuilds the candidates of one prefix column at a time, takes the first
+column whose least candidate equals the stored V (the same float sums, so
+the test is exact), and breaks every tie as the fill's ordered minimum does.
 
 Two table requests serve the whole sweep.  The first window is entered
 only at the source, so ``rooted_table`` over all points, one pass from the
@@ -57,13 +57,11 @@ for counts up to k, and nothing more; the oracle may ignore ``max_visits``
 and hold every count.  A table whose read-back disagrees with its own
 lengths raises ConsistencyError.
 
-With an exact window oracle the sweep returns the true optimum; with a
-(1 + delta')-approximate oracle run at delta' = delta/4 it returns a path of
-length at most OPT + delta * (OPT - |st|), because backward edges charge
-their full length to the excess and merged windows keep those charges
-disjoint.  A (1 + delta')-approximate whole window alone would not: it may
-exceed OPT by delta' * OPT, which is more than delta * excess when the
-optimum is nearly straight.
+With the exact window oracle the sweep returns the true optimum.  The
+paper proves the bound OPT + delta * (OPT - |st|) for the sweep over a
+(1 + delta/4)-approximate window oracle, which this package does not ship:
+backward edges charge their full length to the excess and merged windows
+keep those charges disjoint.
 """
 
 from __future__ import annotations
@@ -79,27 +77,18 @@ from .window_solver import ExactWindowSolver
 
 INF = math.inf
 
-#: The sweep runs the window oracle at this fraction of the requested accuracy.
-WINDOW_ACCURACY_FRACTION = 0.25
-
 
 def solve_ktsp(
-    points: PointSet,
-    source: int,
-    sink: int,
-    k: int,
-    delta: float = 0.25,
-    window_solver=None,
+    points: PointSet, source: int, sink: int, k: int, *, window_solver=None
 ) -> tuple[Path, float]:
     """Shortest s-to-t path visiting at least k points.
 
-    The answer is the whole set's one-window optimum, so it is exact and
-    meets OPT + delta * excess for every delta > 0.  Returns the path and
-    its length measured on the original coordinates.  Raises
-    InfeasibleError when k exceeds n, DegenerateInputError when source
-    equals sink, CapacityError from the window solver when it cannot take
-    the whole set, and ConsistencyError when the table gives no path for a
-    feasible instance or one that is not a source -> sink path over k
+    The answer is the whole set's one-window optimum, so it is exact.
+    Returns the path and its length measured on the original coordinates.
+    Raises InfeasibleError when k exceeds n, DegenerateInputError when
+    source equals sink, CapacityError from the window solver when it cannot
+    take the whole set, and ConsistencyError when the table gives no path
+    for a feasible instance or one that is not a source -> sink path over k
     distinct points.
     """
     n = points.n
@@ -111,32 +100,36 @@ def solve_ktsp(
         raise InfeasibleError(f"k={k} exceeds n={n}")
     if k < 2:
         raise InputError("k must be at least 2 (both endpoints count)")
-    if not delta > 0:
-        raise InputError("delta must be positive")
     solver = window_solver if window_solver is not None else ExactWindowSolver()
 
-    rotated, _ = rotate_to_axis(points, source, sink)
-    ranks = rotated.ranks
-    table = solver.single_slot_table(rotated, range(n), 0.0, max_visits=k)
+    frame = _sweep_frame(points, source, sink)
+    ranks = frame.ranks
+    table = solver.single_slot_table(frame, range(n), max_visits=k)
     visits = table.path(0, n - 1, int(ranks[source]), int(ranks[sink]), k)
     return _answer(points, visits, source, sink, k)
 
 
 def _sweep_ktsp(
-    points: PointSet, source: int, sink: int, k: int, delta: float = 0.25, window_solver=None
+    points: PointSet, source: int, sink: int, k: int, *, window_solver=None
 ) -> tuple[Path, float]:
     """``solve_ktsp``'s answer by the paper's full sweep over every window
-    decomposition, with the window oracle run at delta' = delta/4.  The
-    input is taken as valid."""
+    decomposition.  The input is taken as valid."""
     solver = window_solver if window_solver is not None else ExactWindowSolver()
-    delta_prime = WINDOW_ACCURACY_FRACTION * delta
-    rotated, _ = rotate_to_axis(points, source, sink)
-    V, bridges, rooted, table, dmat = _fill_table(rotated, solver, source, k, delta_prime)
-    end = (points.n - 1, int(rotated.ranks[sink]), k)
+    frame = _sweep_frame(points, source, sink)
+    V, bridges, rooted, table, dmat = _fill_table(frame, solver, source, k)
+    end = (points.n - 1, int(frame.ranks[sink]), k)
     visits = None
     if math.isfinite(V[end]):
-        visits = _reconstruct(V, bridges, rooted, table, dmat, int(rotated.ranks[source]), end)
+        visits = _reconstruct(V, bridges, rooted, table, dmat, int(frame.ranks[source]), end)
     return _answer(points, visits, source, sink, k)
+
+
+def _sweep_frame(points: PointSet, source: int, sink: int) -> PointSet:
+    """The points rotated so the sink lies right of the source on the sweep
+    axis, or as given when the two coincide and have no direction."""
+    if points.distance(source, sink) > 0.0:
+        return rotate_to_axis(points, source, sink)[0]
+    return points
 
 
 def _answer(points: PointSet, visits, source: int, sink: int, k: int) -> tuple[Path, float]:
@@ -155,7 +148,7 @@ def _answer(points: PointSet, visits, source: int, sink: int, k: int) -> tuple[P
     return path, path_length(path)
 
 
-def _fill_table(rotated: PointSet, solver, source: int, k: int, delta_prime: float):
+def _fill_table(rotated: PointSet, solver, source: int, k: int):
     """Run the sweep; returns (V, bridges, rooted table, window table,
     distance matrix).
 
@@ -169,8 +162,8 @@ def _fill_table(rotated: PointSet, solver, source: int, k: int, delta_prime: flo
     n = rotated.n
     order = [int(i) for i in rotated.sweep_order]
     r_s = order.index(source)
-    rooted = solver.rooted_table(rotated, order, source, delta_prime, max_visits=k)
-    table = solver.single_slot_table(rotated, order[r_s + 1 :], delta_prime, max_visits=k)
+    rooted = solver.rooted_table(rotated, order, source, max_visits=k)
+    table = solver.single_slot_table(rotated, order[r_s + 1 :], max_visits=k)
     dmat = rotated.distance_matrix()[np.ix_(order, order)]
 
     V = np.full((n, n, k + 1), INF)

@@ -3,24 +3,22 @@ multi-path plane sweep.
 
 Among the sweep's candidates is the whole set as one window, which every
 slot enters at its prescribed source and leaves at its sink.  The window
-oracle takes the whole set (``solve_mktsp`` raises CapacityError
-otherwise), and at delta' = 0 its contract, "at most (1 + delta') times the
-window optimum", makes that one-window candidate the optimum, which nothing
-else the sweep builds can undercut.  So ``solve_mktsp`` asks
-``solve_lengths`` once, over all points at delta' = 0 with the pairs as the
-one endpoint configuration, and reads the system of the k-visit entry back
-with one ``solve_window`` call: no rotation, no pair orientation and no
-window configurations.  A read-back whose slot j does not run pair j, whose
+oracle is exact within its ``point_cap`` (``solve_mktsp`` raises
+CapacityError past it), so that one-window candidate is the optimum, which
+nothing else the sweep builds can undercut.  So ``solve_mktsp`` asks
+``solve_lengths`` once, over all points with the pairs as the one endpoint
+configuration, and reads the system of the k-visit entry back with one
+``solve_window`` call: no rotation, no pair orientation and no window
+configurations.  A read-back whose slot j does not run pair j, whose
 interiors overlap, that visits other than k distinct points, or whose total
 is not the lengths' entry raises ConsistencyError.
 
-``_sweep_mktsp`` keeps the paper's sweep, run at delta' = delta / m^5.5, as
-the reference the read is tested against and the base for windows narrower
-than the whole set.  Its space is first rotated (orienting pairs, swapping
-endpoints when needed) so that every prescribed segment faces forward along
-the sweep axis with an angle margin of 1/(8 m^1.5); this is what lets
-backward edges of *any* slot charge against the joint excess.  The sweep
-then fills a table keyed by
+``_sweep_mktsp`` keeps the paper's sweep as the reference the read is
+tested against and the base for windows narrower than the whole set.  Its
+space is first rotated (orienting pairs, swapping endpoints when needed) so
+that every prescribed segment faces forward along the sweep axis with an
+angle margin of 1/(8 m^1.5); this is what lets backward edges of *any* slot
+charge against the joint excess.  The sweep then fills a table keyed by
 
     (column p_i, per-slot frontiers T, visit count k')
 
@@ -43,10 +41,10 @@ the new state still needs, or the prefix cost plus the bridges and the
 straight-line completion bound exceeds the cost cap.  The survivors reach
 the oracle in the order they are generated.
 
-With an exact window oracle the sweep's table is exact, so its results
-equal brute-force enumeration and the read's; the oracle accuracy knob is
-plumbed through as delta' = delta / m^5.5 for contract compatibility with
-approximate window solvers.
+With the exact window oracle the sweep's table is exact, so its results
+equal brute-force enumeration and the read's.  The paper proves its joint
+excess bound for the sweep over a (1 + delta / m^5.5)-approximate window
+oracle, which this package does not ship.
 """
 
 from __future__ import annotations
@@ -68,19 +66,8 @@ from .window_solver import EndpointArrays, ExactWindowSolver
 INF = math.inf
 
 
-def window_accuracy(delta: float, m: int) -> float:
-    """The window oracle accuracy delta' = delta / m^5.5; with the exact
-    oracle the value never changes a result."""
-    return delta / (m ** 5.5)
-
-
 def solve_mktsp(
-    points: PointSet,
-    pairs,
-    k: int,
-    delta: float = 0.25,
-    window_solver=None,
-    cost_cap: float | None = None,
+    points: PointSet, pairs, k: int, *, window_solver=None, cost_cap: float | None = None
 ):
     """m paths with prescribed endpoints jointly visiting at least k points.
 
@@ -88,8 +75,7 @@ def solve_mktsp(
     pair j of the input.  When `cost_cap` is given, returns None when the
     optimum exceeds the cap (used by the orienteering driver to discard
     over-budget skeletons early); without a cap the result is the exact
-    optimum, the whole set's one-window optimum, which meets the sweep's
-    excess bound for every delta > 0.
+    optimum, the whole set's one-window optimum.
     """
     n = points.n
     m = len(pairs)
@@ -109,8 +95,6 @@ def solve_mktsp(
         raise InfeasibleError(
             f"k={k} below the {len(endpoint_ids)} distinct prescribed endpoints"
         )
-    if not delta > 0:
-        raise InputError("delta must be positive")
 
     solver = window_solver if window_solver is not None else ExactWindowSolver()
     cap = getattr(solver, "point_cap", None)
@@ -123,12 +107,12 @@ def solve_mktsp(
     if sum(dmat[s][t] for s, t in pairs) > cost_limit:
         return None  # the pairs' straight lines alone exceed the cap
     endpoints = EndpointArrays(*zip(*pairs))
-    total = solver.solve_lengths(points, range(n), endpoints, 0.0).get(k)
+    total = solver.solve_lengths(points, range(n), endpoints).get(k)
     if total is None or total > cost_limit:
         if cost_cap is not None:
             return None
         raise ConsistencyError("no feasible entry for a feasible instance")
-    system = solver.solve_window(points, range(n), endpoints, k, 0.0)
+    system = solver.solve_window(points, range(n), endpoints, k)
     if system.total_length != total:
         raise ConsistencyError(
             f"the window read back a system of length {system.total_length}, "
@@ -138,22 +122,15 @@ def solve_mktsp(
 
 
 def _sweep_mktsp(
-    points: PointSet,
-    pairs,
-    k: int,
-    delta: float = 0.25,
-    window_solver=None,
-    cost_cap: float | None = None,
+    points: PointSet, pairs, k: int, *, window_solver=None, cost_cap: float | None = None
 ):
     """``solve_mktsp``'s answer by the paper's full sweep over every window
-    decomposition, with the window oracle run at delta' = delta / m^5.5.
-    The input is taken as valid; returns None when the sweep proves the
-    optimum over `cost_cap`."""
+    decomposition.  The input is taken as valid; returns None when the sweep
+    proves the optimum over `cost_cap`."""
     n = points.n
     m = len(pairs)
     pairs = [(int(s), int(t)) for s, t in pairs]
     solver = window_solver if window_solver is not None else ExactWindowSolver()
-    delta_prime = window_accuracy(delta, m)
 
     # Rotate so every pair of distinct points faces along the sweep axis
     # (coincident pairs have no direction), then run each pair from the end
@@ -197,7 +174,7 @@ def _sweep_mktsp(
                     lengths = memo.get((S2, T2))
                     if lengths is None:  # an empty dict is a stored answer
                         lengths = memo[S2, T2] = solver.solve_lengths(
-                            rotated, w_ids, EndpointArrays(S2, T2), delta_prime
+                            rotated, w_ids, EndpointArrays(S2, T2)
                         )
                     for kw, a_len in lengths.items():
                         kk = k1 + kw
@@ -221,9 +198,7 @@ def _sweep_mktsp(
             return None
         raise ConsistencyError("no feasible entry for a feasible instance")
 
-    visits_per_slot = _reconstruct(
-        rotated, solver, order, back, best_col, answer_key, delta_prime, m
-    )
+    visits_per_slot = _reconstruct(rotated, solver, order, back, best_col, answer_key, m)
     return _answer(
         points,
         pairs,
@@ -322,7 +297,7 @@ def _window_configs(T1, cost, cost_limit, w_ids, lo, hi, sources, sinks, rank, d
     return out
 
 
-def _reconstruct(rotated, solver, order, back, col, key, delta_prime, m):
+def _reconstruct(rotated, solver, order, back, col, key, m):
     """Expand the winning transition chain into per-slot visit id lists."""
     segments: list[list[list[int]]] = [[] for _ in range(m)]
     while True:
@@ -331,9 +306,7 @@ def _reconstruct(rotated, solver, order, back, col, key, delta_prime, m):
             break
         j, pkey, S2, T2, kw = prev
         w_ids = order[j:col]
-        sol = solver.solve_window(
-            rotated, w_ids, EndpointArrays(S2, T2), kw, delta_prime
-        )
+        sol = solver.solve_window(rotated, w_ids, EndpointArrays(S2, T2), kw)
         if not sol.feasible:
             raise ConsistencyError(f"the oracle has no system for ranks {j}..{col - 1}")
         for l in range(m):

@@ -17,6 +17,11 @@ some rooted path to s_m over at least k points fits the budget.
 
 The number of segments is ceil(1/delta), which makes 1/m <= delta and hence
 the visit guarantee at least ceil((1 - delta) * k_opt).
+
+The window oracle is exact within its ``point_cap``, so the rooted table
+holds optimal lengths and each (m,k)-TSP read returns its skeleton's optimal
+system.  The paper proves the guarantee for (m,k)-TSP queries over an
+approximate window oracle, which this package does not ship.
 """
 
 from __future__ import annotations
@@ -115,9 +120,8 @@ def solve_orienteering(
     dmat = points.distance_matrix()
 
     # Certificate table, from one rooted table over the whole point set,
-    # requested at delta' = 0, where the oracle contract "at most
-    # (1 + delta') times the optimum" is exact: rooted[k, q] is the optimal
-    # root -> q path over exactly k points.  An accepted system at k joins
+    # which the oracle answers exactly within its point cap: rooted[k, q] is
+    # the optimal root -> q path over exactly k points.  An accepted system at k joins
     # into a root -> s_m path over exactly k distinct points, so it is at
     # least reach[k, s_m], the least rooted[k', s_m] over k' >= k.  A
     # (k + 1)-point rooted path is a k-point one plus an edge, so the least
@@ -125,7 +129,7 @@ def solve_orienteering(
     # rooted[k, q] over q.  The request raises CapacityError past the
     # oracle's point cap, before any skeleton is tried.
     bound_solver = window_solver if window_solver is not None else ExactWindowSolver()
-    table = bound_solver.rooted_table(points, range(n), root, delta_prime=0.0)
+    table = bound_solver.rooted_table(points, range(n), root)
     rooted = table.run(n - 1)[:, points.ranks]  # table positions follow the sweep order
     del table  # rooted is a copy; free the table's kept layers before the scan
     reach = np.minimum.accumulate(rooted[::-1])[::-1]  # [k, q]
@@ -153,18 +157,12 @@ def solve_orienteering(
         if reach[k].min() > limit:
             continue  # provably no k-visit rooted path fits the budget
         m_eff = min(m_full, k - 1)
-        oracle_delta = 1.0 / m_eff
         rows = skeletons_for(m_eff)
         rows = rows[reach[k, rows[:, -1]] <= limit]
         for skeleton in map(tuple, rows.tolist()):
             pairs = [(skeleton[j], skeleton[j + 1]) for j in range(m_eff)]
             result = solve_mktsp(
-                points,
-                pairs,
-                k,
-                oracle_delta,
-                window_solver=window_solver,
-                cost_cap=instance.budget,
+                points, pairs, k, window_solver=window_solver, cost_cap=instance.budget
             )
             if result is None:
                 continue

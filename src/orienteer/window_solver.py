@@ -12,27 +12,25 @@ so ``solve_window`` reads its system back from that call's parent links, and
 a caller that repeats a query memoizes it.  The DP reads the host's shared
 ``distance_rows`` by point id, with one mask bit per id.
 
-The plane sweeps only require the weaker contract "length at most
-(1 + delta_prime) times the window optimum for the requested delta_prime";
-an exact solver satisfies it for every value, so ``delta_prime`` is accepted
-everywhere but never changes a result here.  Swapping in an approximate
-implementation with the same methods leaves the sweeps intact: the oracle
-answers ``solve_lengths``, ``solve_window``, ``single_slot_table`` and
-``rooted_table``, and the sweeps read a table only through its ``run`` and
-``path`` methods.  The k-TSP and (m,k)-TSP solves and the orienteering
-bound ask at delta_prime = 0, where the contract asks for the optimum: an
-(m,k)-TSP solve asks ``solve_lengths`` once, over the whole set with its
-pairs as the endpoints, and reads the system of its count back with one
-``solve_window`` call.
+The oracle's contract is "exact within ``point_cap``": every answer is the
+window optimum, and a window over more than ``point_cap`` points raises
+CapacityError.  The paper proves its excess bounds for sweeps over a
+(1 + delta')-approximate window oracle, which this package does not ship.
+Swapping in another implementation with the same methods leaves the sweeps
+intact: the oracle answers ``solve_lengths``, ``solve_window``,
+``single_slot_table`` and ``rooted_table``, and the sweeps read a table only
+through its ``run`` and ``path`` methods.  An (m,k)-TSP solve asks
+``solve_lengths`` once, over the whole set with its pairs as the endpoints,
+and reads the system of its count back with one ``solve_window`` call.
 
 ``single_slot_table`` is a batched variant for the one-path case: its
 table holds optima for *all* endpoint pairs and visit counts of every
 contiguous run of a window's points in sweep order, read with
 ``SingleSlotTable.run``, and one optimal path of any of them, read with
-``SingleSlotTable.path``.  A k-TSP solve asks it at delta' = 0 for the
-whole set and reads one path, from the source to the sink; the k-TSP sweep
-asks it for the points right of the source and reads every window after
-the first from it.  ``rooted_table`` is the one-start variant: one pass
+``SingleSlotTable.path``.  A k-TSP solve asks it for the whole set and
+reads one path, from the source to the sink; the k-TSP sweep asks it for
+the points right of the source and reads every window after the first from
+it.  ``rooted_table`` is the one-start variant: one pass
 from a root over the other points gives optima for every end and visit
 count of every prefix of a window, which serves the sweep's first window,
 entered only at the source, and the orienteering bound, read only from the
@@ -142,8 +140,7 @@ class ExactWindowSolver:
     Every call is a pure function of its arguments: nothing a solve builds
     outlives the call, and a caller that repeats queries (the (m,k)-TSP
     sweep) memoizes them itself.  Distances are read from the host's shared
-    ``distance_rows`` by point id.  ``delta_prime`` arguments are accepted
-    for contract compatibility and never change a result.
+    ``distance_rows`` by point id.
     """
 
     #: Largest window the oracle takes; ``solve_mktsp`` reads it up front.
@@ -152,7 +149,7 @@ class ExactWindowSolver:
     # -- general multi-slot interface ------------------------------------
 
     def solve_lengths(
-        self, host: PointSet, point_ids, endpoints: EndpointArrays, delta_prime: float = 0.0
+        self, host: PointSet, point_ids, endpoints: EndpointArrays
     ) -> dict[int, float]:
         """Optimal total length for every achievable visit count.
 
@@ -163,12 +160,7 @@ class ExactWindowSolver:
         return _multi_slot_dp(host, pts, endpoints)[0]
 
     def solve_window(
-        self,
-        host: PointSet,
-        point_ids,
-        endpoints: EndpointArrays,
-        k: int,
-        delta_prime: float = 0.0,
+        self, host: PointSet, point_ids, endpoints: EndpointArrays, k: int
     ) -> WindowSolution:
         """Cheapest path system visiting exactly k distinct points."""
         pts = sorted(int(p) for p in point_ids)
@@ -179,7 +171,7 @@ class ExactWindowSolver:
     # -- batched single-slot interface ------------------------------------
 
     def single_slot_table(
-        self, host: PointSet, point_ids, delta_prime: float = 0.0, max_visits: int | None = None
+        self, host: PointSet, point_ids, max_visits: int | None = None
     ) -> "SingleSlotTable":
         """All-pairs optimal path lengths of every contiguous run of the
         window's points in the host's sweep order, for every visit count up
@@ -187,8 +179,7 @@ class ExactWindowSolver:
         return SingleSlotTable(*self._sweep_window(host, point_ids, max_visits), max_visits)
 
     def rooted_table(
-        self, host: PointSet, point_ids, root: int, delta_prime: float = 0.0,
-        max_visits: int | None = None,
+        self, host: PointSet, point_ids, root: int, max_visits: int | None = None
     ) -> "RootedTable":
         """All-ends optimal lengths of the paths from ``root`` over every
         prefix of the window's points in the host's sweep order, for every

@@ -32,33 +32,31 @@ def rng():
     return np.random.default_rng(20240817)
 
 
-class DeltaPrimeSpy(ExactWindowSolver):
-    """The exact oracle, recording (method, delta_prime) of every call and
-    the ``max_visits`` of every table request in ``max_visits``."""
+class CallSpy(ExactWindowSolver):
+    """The exact oracle, recording (method, point count, max_visits) of
+    every request in ``calls``; the multi-slot requests, which take no
+    ``max_visits``, record None."""
 
     def __init__(self):
-        self.seen = []
-        self.max_visits = []
+        self.calls = []
 
-    def solve_lengths(self, host, point_ids, endpoints, delta_prime=0.0):
-        self.seen.append(("solve_lengths", delta_prime))
-        return super().solve_lengths(host, point_ids, endpoints, delta_prime)
+    def solve_lengths(self, host, point_ids, endpoints):
+        self.calls.append(("solve_lengths", len(point_ids), None))
+        return super().solve_lengths(host, point_ids, endpoints)
 
-    def solve_window(self, host, point_ids, endpoints, k, delta_prime=0.0):
-        self.seen.append(("solve_window", delta_prime))
-        return super().solve_window(host, point_ids, endpoints, k, delta_prime)
+    def solve_window(self, host, point_ids, endpoints, k):
+        self.calls.append(("solve_window", len(point_ids), None))
+        return super().solve_window(host, point_ids, endpoints, k)
 
-    def single_slot_table(self, host, point_ids, delta_prime=0.0, max_visits=None):
-        self.seen.append(("single_slot_table", delta_prime))
-        self.max_visits.append(("single_slot_table", max_visits))
-        return super().single_slot_table(host, point_ids, delta_prime, max_visits)
+    def single_slot_table(self, host, point_ids, max_visits=None):
+        self.calls.append(("single_slot_table", len(point_ids), max_visits))
+        return super().single_slot_table(host, point_ids, max_visits)
 
-    def rooted_table(self, host, point_ids, root, delta_prime=0.0, max_visits=None):
-        self.seen.append(("rooted_table", delta_prime))
-        self.max_visits.append(("rooted_table", max_visits))
-        return super().rooted_table(host, point_ids, root, delta_prime, max_visits)
+    def rooted_table(self, host, point_ids, root, max_visits=None):
+        self.calls.append(("rooted_table", len(point_ids), max_visits))
+        return super().rooted_table(host, point_ids, root, max_visits)
 
 
 @pytest.fixture
-def delta_spy():
-    return DeltaPrimeSpy()
+def call_spy():
+    return CallSpy()

@@ -58,7 +58,7 @@ def test_criterion_1_ktsp_guarantee():
         delta = 0.25 if trial % 4 < 2 else 0.5
         pts = PointSet(rng.random((n, d)))
         k = int(rng.integers(3, n + 1))
-        path, length = solve_ktsp(pts, 0, 1, k, delta)
+        path, length = solve_ktsp(pts, 0, 1, k)
         _, opt = brute_ktsp(pts, 0, 1, k)
         direct = pts.distance(0, 1)
         assert length <= opt + delta * (opt - direct) + 1e-9 * max(1.0, opt)
@@ -86,14 +86,14 @@ def test_criterion_2_mktsp_guarantee():
         pairs = [(ids[2 * j], ids[2 * j + 1]) for j in range(m)]
         n_eps = len({x for p in pairs for x in p})
         k = int(rng.integers(n_eps, n + 1))
-        multi, total = solve_mktsp(pts, pairs, k, 0.5)
+        multi, total = solve_mktsp(pts, pairs, k)
         _, opt = brute_mktsp(pts, pairs, k)
         assert abs(total - opt) <= 1e-9 * max(1.0, opt)
         for p, (s, t) in zip(multi.paths, pairs):
             assert p.visits[0] == s and p.visits[-1] == t
         assert len(multi.visited_ids()) >= k
         if m == 1 and k >= 2:
-            _, ref = solve_ktsp(pts, pairs[0][0], pairs[0][1], k, 0.5)
+            _, ref = solve_ktsp(pts, pairs[0][0], pairs[0][1], k)
             assert abs(total - ref) <= 1e-9 * max(1.0, ref)
         checked += 1
     _report(2, "(m,k)-TSP guarantee", checked == 105, f"{checked} instances, m in 1..3")

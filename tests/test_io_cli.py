@@ -180,6 +180,18 @@ def test_solve_then_verify_passes(tmp_path, kind):
     assert sol.verification == "passed"
 
 
+def test_cli_solves_a_ktsp_file_whose_endpoints_coincide(tmp_path):
+    # Source and sink are distinct ids at the same coordinates.
+    inst_file, sol_file = tmp_path / "inst.json", tmp_path / "sol.json"
+    inst_file.write_text(json.dumps({
+        "version": 1, "kind": "ktsp", "points": [[0, 0], [1, 0], [0.5, 0.5], [0, 0]],
+        "delta": 0.5, "source": 0, "sink": 3, "k": 3,
+    }))
+    assert main(["solve", str(inst_file), "-o", str(sol_file), "--oracle-check"]) == 0
+    assert load_solution(sol_file).visits == [0, 2, 3]
+    assert main(["verify", str(inst_file), str(sol_file), "--oracle-check"]) == 0
+
+
 def test_corrupted_solution_fails_verification(tmp_path):
     inst_file, sol_file = make_solution_via_cli(tmp_path, "ktsp")
     data = json.loads(sol_file.read_text())
@@ -416,6 +428,10 @@ VALID_FILES = {
         pytest.param("solution", "visits_per_path", [[0, 3]], id="ktsp-solution-with-visits-per-path"),
         pytest.param("mktsp-solution", "visits", [0, 1], id="mktsp-solution-with-visits"),
         pytest.param("solution", "surprise", True, id="solution-with-unknown-field"),
+        # The file is the only delta guard for k-TSP and (m,k)-TSP: their
+        # solvers take no delta.
+        pytest.param("ktsp", "delta", 0, id="ktsp-delta-zero"),
+        pytest.param("mktsp", "delta", -0.5, id="mktsp-delta-negative"),
     ],
 )
 def test_malformed_file_exits_2(tmp_path, capsys, base, field, value):

@@ -50,8 +50,38 @@ def test_input_validation():
         solve_ktsp(pts, 1, 1, 2)
     with pytest.raises(InputError):
         solve_ktsp(pts, 0, 1, 1)
-    with pytest.raises(InputError):
-        solve_ktsp(pts, 0, 1, 3, delta=0.0)
+
+
+def test_coincident_endpoints_are_solved_in_the_given_frame():
+    # Distinct ids at the same coordinates have no direction to rotate onto
+    # the sweep axis, so the read and the sweep keep the given frame; both
+    # give the enumerated optimum in either id order.  One id as both ends
+    # is still degenerate.
+    pts = PointSet([[0.0, 0], [1.0, 0], [0.5, 0.5], [0.0, 0]])
+    path, length = solve_ktsp(pts, 0, 3, 3)
+    assert path.visits == (0, 2, 3) and length == brute_ktsp(pts, 0, 3, 3)[1]
+    with pytest.raises(DegenerateInputError):
+        solve_ktsp(pts, 3, 3, 2)
+    checked = 0
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 9))
+        if seed % 2:
+            coords = rng.random((n, 2))
+        else:
+            coords = rng.integers(0, 3, (n, 1 + seed % 3)) / 2.0  # ties, d = 1-3
+        a, b = (int(i) for i in rng.choice(n, 2, replace=False))
+        coords[b] = coords[a]
+        pts = PointSet(coords)
+        k = int(rng.integers(2, n + 1))
+        for s, t in ((a, b), (b, a)):
+            _, opt = brute_ktsp(pts, s, t, k)
+            for solve in (solve_ktsp, _sweep_ktsp):
+                path, length = solve(pts, s, t, k)
+                assert (path.visits[0], path.visits[-1], len(set(path.visits))) == (s, t, k)
+                assert length == pytest.approx(opt, rel=1e-9, abs=1e-12), (seed, s, t)
+            checked += 1
+    assert checked == 120
 
 
 def test_over_the_point_cap_a_solve_raises():
@@ -70,7 +100,7 @@ def test_matches_brute_force(rng):
         d = 2 if trial % 2 == 0 else 3
         pts = PointSet(rng.random((n, d)))
         k = int(rng.integers(3, n + 1))
-        path, length = solve_ktsp(pts, 0, 1, k, delta=0.5)
+        path, length = solve_ktsp(pts, 0, 1, k)
         _, opt = brute_ktsp(pts, 0, 1, k)
         assert length == pytest.approx(opt, rel=1e-9)
         assert path.visits[0] == 0 and path.visits[-1] == 1
@@ -89,7 +119,7 @@ def test_reported_length_recomputes_from_coordinates(rng):
 def test_table_values_non_increasing_in_column(rng):
     # Fixing the path end and the visit count, letting the sweep advance one
     # more point can only add candidate decompositions.
-    from orienteer.ktsp import WINDOW_ACCURACY_FRACTION, _fill_table
+    from orienteer.ktsp import _fill_table
 
     for _ in range(10):
         n = int(rng.integers(4, 9))
@@ -97,28 +127,28 @@ def test_table_values_non_increasing_in_column(rng):
         k = int(rng.integers(3, n + 1))
         rotated, _ = rotate_to_axis(pts, 0, 1)
         solver = ExactWindowSolver()
-        V = _fill_table(rotated, solver, 0, k, WINDOW_ACCURACY_FRACTION * 0.5)[0]
+        V = _fill_table(rotated, solver, 0, k)[0]
         for i in range(n - 1):
             later = V[i + 1, : i + 1, :]
             assert np.all(later <= V[i, : i + 1, :] + 1e-12)
 
 
-def test_table_plumbs_quarter_delta_to_window_oracle(delta_spy):
+def test_the_sweep_asks_for_a_rooted_and_a_window_table_stopped_at_k(call_spy):
+    # A rooted table over every point and a window table over the two right
+    # of the source; the sweep reads no count above k, so both passes may
+    # stop there.
     pts = PointSet([[0.0, 0], [0.5, 0.4], [1.0, 0]])
-    _sweep_ktsp(pts, 0, 2, 3, delta=0.8, window_solver=delta_spy)
-    assert delta_spy.seen == [("rooted_table", 0.2), ("single_slot_table", 0.2)]
-    # The sweep reads no count above k, so both passes may stop there.
-    assert delta_spy.max_visits == [("rooted_table", 3), ("single_slot_table", 3)]
+    _sweep_ktsp(pts, 0, 2, 3, window_solver=call_spy)
+    assert call_spy.calls == [("rooted_table", 3, 3), ("single_slot_table", 2, 3)]
 
 
-def test_a_solve_asks_for_one_whole_set_window_table_at_delta_prime_zero(delta_spy):
-    # A solve's answer is the one-window candidate, which the contract makes
-    # optimal at delta' = 0 whatever the delta: one window table over every
-    # point, stopped at k, and no rooted table or window solve.
+def test_a_solve_asks_for_one_whole_set_window_table(call_spy):
+    # A solve's answer is the one-window candidate, which the exact oracle
+    # makes optimal: one window table over every point, stopped at k, and no
+    # rooted table or window solve.
     pts = PointSet([[0.0, 0], [0.5, 0.4], [1.0, 0]])
-    solve_ktsp(pts, 0, 2, 3, delta=0.8, window_solver=delta_spy)
-    assert delta_spy.seen == [("single_slot_table", 0.0)]
-    assert delta_spy.max_visits == [("single_slot_table", 3)]
+    solve_ktsp(pts, 0, 2, 3, window_solver=call_spy)
+    assert call_spy.calls == [("single_slot_table", 3, 3)]
 
 
 def test_optimal_path_window_chain_bounds_cost(rng):

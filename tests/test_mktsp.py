@@ -13,7 +13,7 @@ from orienteer.errors import (
     InputError,
 )
 from orienteer.generate import DISTRIBUTIONS, generate
-from orienteer.mktsp import _sweep_mktsp, _window_configs, window_accuracy
+from orienteer.mktsp import _sweep_mktsp, _window_configs
 from orienteer.oracle import brute_mktsp
 from orienteer.paths import Path, path_length
 from orienteer.window_solver import DEFAULT_POINT_CAP, ExactWindowSolver, WindowSolution
@@ -36,9 +36,9 @@ def test_single_pair_matches_ktsp(rng):
         n = int(rng.integers(4, 9))
         pts = PointSet(rng.random((n, 2)))
         k = int(rng.integers(2, n + 1))
-        multi, total = solve_mktsp(pts, [(0, 1)], k, 0.5)
+        multi, total = solve_mktsp(pts, [(0, 1)], k)
         if k >= 2:
-            _, ref = solve_ktsp(pts, 0, 1, max(k, 2), 0.5)
+            _, ref = solve_ktsp(pts, 0, 1, max(k, 2))
             assert total == pytest.approx(ref, rel=1e-9)
         assert multi.paths[0].visits[0] == 0
         assert multi.paths[0].visits[-1] == 1
@@ -54,7 +54,7 @@ def test_matches_brute_force(rng):
         pairs = random_pairs(rng, n, m)
         n_eps = len({x for p in pairs for x in p})
         k = int(rng.integers(n_eps, n + 1))
-        multi, total = solve_mktsp(pts, pairs, k, 0.5)
+        multi, total = solve_mktsp(pts, pairs, k)
         _, opt = brute_mktsp(pts, pairs, k)
         assert total == pytest.approx(opt, rel=1e-9)
         assert len(multi.visited_ids()) >= k
@@ -69,7 +69,7 @@ def test_chained_pairs_share_junctions(rng):
         q = [int(i) for i in rng.permutation(n)[:3]]
         pairs = [(q[0], q[1]), (q[1], q[2])]
         k = int(rng.integers(3, n + 1))
-        multi, total = solve_mktsp(pts, pairs, k, 0.5)
+        multi, total = solve_mktsp(pts, pairs, k)
         _, opt = brute_mktsp(pts, pairs, k)
         assert total == pytest.approx(opt, rel=1e-9)
 
@@ -98,7 +98,7 @@ def test_matches_brute_force_with_a_coincident_pair(rng):
         coords[b] = coords[a]
         pts = PointSet(coords)
         k = int(rng.integers(4, n + 1))
-        multi, total = solve_mktsp(pts, pairs, k, 0.5)
+        multi, total = solve_mktsp(pts, pairs, k)
         _, opt = brute_mktsp(pts, pairs, k)
         assert total == pytest.approx(opt, rel=1e-9)
         assert len(multi.visited_ids()) >= k
@@ -115,13 +115,13 @@ def test_matches_brute_force_when_a_pair_coincides(rng):
         coords[t] = coords[s]
         pts = PointSet(coords)
         k = int(rng.integers(4, n + 1))
-        multi, total = solve_mktsp(pts, pairs, k, 0.5)
+        multi, total = solve_mktsp(pts, pairs, k)
         _, opt = brute_mktsp(pts, pairs, k)
         assert total == pytest.approx(opt, rel=1e-9)
         assert [(p.visits[0], p.visits[-1]) for p in multi.paths] == pairs
         assert len(multi.visited_ids()) >= k
         # Alone, the pair leaves no direction at all; the frame stays as given.
-        multi, total = solve_mktsp(pts, [(t, s)], k - 1, 0.5)
+        multi, total = solve_mktsp(pts, [(t, s)], k - 1)
         _, opt = brute_mktsp(pts, [(t, s)], k - 1)
         assert total == pytest.approx(opt, rel=1e-9, abs=1e-12)
         assert (multi.paths[0].visits[0], multi.paths[0].visits[-1]) == (t, s)
@@ -139,7 +139,7 @@ ULP_PAIR = [
 
 def test_a_pair_a_few_ulps_apart_is_solved():
     pts = PointSet(ULP_PAIR)
-    multi, total = solve_mktsp(pts, [(0, 1), (2, 3)], 4, 0.5)
+    multi, total = solve_mktsp(pts, [(0, 1), (2, 3)], 4)
     _, opt = brute_mktsp(pts, [(0, 1), (2, 3)], 4)
     assert total == pytest.approx(opt, rel=1e-9)
     assert [(p.visits[0], p.visits[-1]) for p in multi.paths] == [(0, 1), (2, 3)]
@@ -155,7 +155,7 @@ def test_a_pair_a_few_ulps_apart_is_solved():
         pts = PointSet(coords)
         pairs = [(0, 1), (2, 3)]
         k = int(rng.integers(4, n + 1))
-        multi, total = solve_mktsp(pts, pairs, k, 0.5)
+        multi, total = solve_mktsp(pts, pairs, k)
         _, opt = brute_mktsp(pts, pairs, k)
         assert total == pytest.approx(opt, rel=1e-9), seed
         assert [(p.visits[0], p.visits[-1]) for p in multi.paths] == pairs
@@ -167,7 +167,7 @@ def test_total_length_recomputes(rng):
         pts = PointSet(rng.random((n, 2)))
         pairs = random_pairs(rng, n, 2)
         n_eps = len({x for p in pairs for x in p})
-        multi, total = solve_mktsp(pts, pairs, n_eps, 0.5)
+        multi, total = solve_mktsp(pts, pairs, n_eps)
         assert sum(path_length(p) for p in multi.paths) == pytest.approx(total, abs=1e-9)
 
 
@@ -184,7 +184,7 @@ def test_excess_guarantee_with_exact_oracle(rng):
         paths, opt = brute_mktsp(pts, pairs, k)
         direct = sum(pts.distance(s, t) for s, t in pairs)
         for solve in (solve_mktsp, _sweep_mktsp):
-            _, total = solve(pts, pairs, k, delta)
+            _, total = solve(pts, pairs, k)
             assert total <= opt + delta * (opt - direct) + 1e-9
 
 
@@ -210,18 +210,16 @@ def test_five_disjoint_pairs_are_solved(rng):
     assert [p.visits for p in multi.paths] == pairs
 
 
-def test_accuracy_parameter_plumbed(rng, delta_spy):
-    # The sweep asks its windows at delta' = delta / m^5.5; a solve reads its
-    # one window at delta' = 0, where the contract asks for the optimum.
+def test_the_sweep_asks_its_windows_and_a_solve_the_whole_set(rng, call_spy):
+    # The sweep asks the multi-slot oracle for lengths and systems of its
+    # windows; a solve asks for the lengths of the whole set and reads its
+    # one system back.
     pts = PointSet(rng.random((5, 2)))
-    _sweep_mktsp(pts, [(0, 1), (2, 3)], 4, delta=0.8, window_solver=delta_spy)
-    assert {method for method, _ in delta_spy.seen} == {"solve_lengths", "solve_window"}
-    for _, delta_prime in delta_spy.seen:
-        assert delta_prime == pytest.approx(window_accuracy(0.8, 2), rel=1e-12)
-    assert window_accuracy(0.8, 2) == pytest.approx(0.8 / 2**5.5, rel=1e-12)
-    delta_spy.seen.clear()
-    solve_mktsp(pts, [(0, 1), (2, 3)], 4, delta=0.8, window_solver=delta_spy)
-    assert delta_spy.seen == [("solve_lengths", 0.0), ("solve_window", 0.0)]
+    _sweep_mktsp(pts, [(0, 1), (2, 3)], 4, window_solver=call_spy)
+    assert {method for method, _, _ in call_spy.calls} == {"solve_lengths", "solve_window"}
+    call_spy.calls.clear()
+    solve_mktsp(pts, [(0, 1), (2, 3)], 4, window_solver=call_spy)
+    assert call_spy.calls == [("solve_lengths", 5, None), ("solve_window", 5, None)]
 
 
 def test_cost_cap_returns_none_when_over_budget(rng):
@@ -236,15 +234,15 @@ def test_cost_cap_returns_none_when_over_budget(rng):
         pairs = random_pairs(rng, n, int(rng.integers(1, 3)))
         k = int(rng.integers(2 * len(pairs), n + 1))
         _, opt = brute_mktsp(pts, pairs, k)
-        result = solve_mktsp(pts, pairs, k, 0.5, cost_cap=opt)
+        result = solve_mktsp(pts, pairs, k, cost_cap=opt)
         assert result is not None and result[1] == pytest.approx(opt, rel=1e-9)
-        assert solve_mktsp(pts, pairs, k, 0.5, cost_cap=opt - 1e-6) is None
+        assert solve_mktsp(pts, pairs, k, cost_cap=opt - 1e-6) is None
 
 
 class NoSystemWindowSolver(ExactWindowSolver):
     """Exact lengths, but no path system when a window is read back."""
 
-    def solve_window(self, host, point_ids, endpoints, k, delta_prime=0.0):
+    def solve_window(self, host, point_ids, endpoints, k):
         return WindowSolution(math.inf, (None,) * endpoints.slots, 0)
 
 
@@ -257,8 +255,8 @@ class BrokenSystemWindowSolver(ExactWindowSolver):
         super().__init__()
         self.broken = broken
 
-    def solve_window(self, host, point_ids, endpoints, k, delta_prime=0.0):
-        sol = super().solve_window(host, point_ids, endpoints, k, delta_prime)
+    def solve_window(self, host, point_ids, endpoints, k):
+        sol = super().solve_window(host, point_ids, endpoints, k)
         total, (first, second, *rest) = sol.total_length, sol.paths
         if self.broken == "longer":
             total = math.nextafter(total, math.inf)
@@ -315,8 +313,8 @@ def test_the_one_window_read_is_the_sweep_on_generated_instances():
     compared = 0
     for inst in mktsp_cells():
         pts = inst.point_set()
-        read = solve_mktsp(pts, inst.pairs, inst.k, inst.delta)
-        sweep = _sweep_mktsp(pts, inst.pairs, inst.k, inst.delta)
+        read = solve_mktsp(pts, inst.pairs, inst.k)
+        sweep = _sweep_mktsp(pts, inst.pairs, inst.k)
         assert [p.visits for p in read[0].paths] == [p.visits for p in sweep[0].paths], inst
         assert read[1] == sweep[1], inst
         compared += 1
@@ -370,22 +368,6 @@ def test_over_the_point_cap_a_solve_raises_before_the_straight_line_early_out():
             solve_mktsp(pts, [(0, 1), (2, 3)], 5, cost_cap=cost_cap)
 
 
-class CallSpy(ExactWindowSolver):
-    """The exact oracle, recording (method, point ids, delta') of each call."""
-
-    def __init__(self):
-        super().__init__()
-        self.calls = []
-
-    def solve_lengths(self, host, point_ids, endpoints, delta_prime=0.0):
-        self.calls.append(("solve_lengths", tuple(point_ids), delta_prime))
-        return super().solve_lengths(host, point_ids, endpoints, delta_prime)
-
-    def solve_window(self, host, point_ids, endpoints, k, delta_prime=0.0):
-        self.calls.append(("solve_window", tuple(point_ids), delta_prime))
-        return super().solve_window(host, point_ids, endpoints, k, delta_prime)
-
-
 def no_sweep(monkeypatch):
     """Make pair orientation and rotation fail, as a solve needs neither."""
 
@@ -396,21 +378,20 @@ def no_sweep(monkeypatch):
     monkeypatch.setattr(PointSet, "transformed", fail)
 
 
-def test_a_solve_asks_once_for_the_whole_set_at_delta_prime_zero(rng, monkeypatch):
+def test_a_solve_asks_once_for_the_whole_set(rng, monkeypatch, call_spy):
     no_sweep(monkeypatch)
     for _ in range(20):
         n = int(rng.integers(4, 10))
         pts = PointSet(rng.random((n, 2)))
         pairs = random_pairs(rng, n, int(rng.integers(1, min(3, n // 2) + 1)))
         k = int(rng.integers(2 * len(pairs), n + 1))
-        spy = CallSpy()
-        assert solve_mktsp(pts, pairs, k, 0.5, window_solver=spy)
-        everything = tuple(range(n))
-        assert spy.calls == [("solve_lengths", everything, 0.0), ("solve_window", everything, 0.0)]
+        call_spy.calls.clear()
+        assert solve_mktsp(pts, pairs, k, window_solver=call_spy)
+        assert call_spy.calls == [("solve_lengths", n, None), ("solve_window", n, None)]
 
 
 def test_over_the_cap_a_solve_reads_no_system_and_below_the_straight_lines_no_oracle(
-    rng, monkeypatch
+    rng, monkeypatch, call_spy
 ):
     # A cap between the pairs' straight lines and the optimum costs one
     # length request; a cap below the straight lines costs none.
@@ -422,13 +403,13 @@ def test_over_the_cap_a_solve_reads_no_system_and_below_the_straight_lines_no_or
         k = int(rng.integers(2 * len(pairs) + 1, n + 1))  # an interior point makes opt > direct
         _, opt = brute_mktsp(pts, pairs, k)
         direct = sum(pts.distance(s, t) for s, t in pairs)
-        spy = CallSpy()
+        call_spy.calls.clear()
         cap = (opt + direct) / 2
-        assert solve_mktsp(pts, pairs, k, 0.5, window_solver=spy, cost_cap=cap) is None
-        assert [call[0] for call in spy.calls] == ["solve_lengths"]
-        spy = CallSpy()
-        assert solve_mktsp(pts, pairs, k, 0.5, window_solver=spy, cost_cap=direct / 2) is None
-        assert spy.calls == []
+        assert solve_mktsp(pts, pairs, k, window_solver=call_spy, cost_cap=cap) is None
+        assert call_spy.calls == [("solve_lengths", n, None)]
+        call_spy.calls.clear()
+        assert solve_mktsp(pts, pairs, k, window_solver=call_spy, cost_cap=direct / 2) is None
+        assert call_spy.calls == []
 
 
 def test_oriented_pairs_face_forward(rng):
@@ -461,10 +442,10 @@ class NarrowWindowSolver(ExactWindowSolver):
         super().__init__()
         self.width = width
 
-    def solve_lengths(self, host, point_ids, endpoints, delta_prime=0.0):
+    def solve_lengths(self, host, point_ids, endpoints):
         if len(point_ids) > self.width:
             return {}
-        return super().solve_lengths(host, point_ids, endpoints, delta_prime)
+        return super().solve_lengths(host, point_ids, endpoints)
 
 
 def narrow_draw(seed: int):
@@ -581,9 +562,7 @@ NARROW_PIN = {
 def test_narrow_oracle_answers_are_pinned():
     for seed, pinned in NARROW_PIN.items():
         pts, pairs, k, width, cap = narrow_draw(seed)
-        result = _sweep_mktsp(
-            pts, pairs, k, 0.5, window_solver=NarrowWindowSolver(width), cost_cap=cap
-        )
+        result = _sweep_mktsp(pts, pairs, k, window_solver=NarrowWindowSolver(width), cost_cap=cap)
         if result is not None:
             multi, total = result
             result = (round(total, 9), tuple(p.visits for p in multi.paths))
@@ -597,9 +576,9 @@ class RecordingWindowSolver(ExactWindowSolver):
         super().__init__()
         self.queries = []
 
-    def solve_lengths(self, host, point_ids, endpoints, delta_prime=0.0):
+    def solve_lengths(self, host, point_ids, endpoints):
         self.queries.append((tuple(point_ids), endpoints.sources, endpoints.sinks))
-        return super().solve_lengths(host, point_ids, endpoints, delta_prime)
+        return super().solve_lengths(host, point_ids, endpoints)
 
 
 def test_one_oracle_call_per_window_and_configuration():
@@ -621,7 +600,7 @@ def test_one_oracle_call_per_window_and_configuration():
         if seed // 4 % 2:
             cap = sum(pts.distance(s, t) for s, t in pairs) * float(rng.uniform(1.0, 2.5))
         solver = RecordingWindowSolver()
-        _sweep_mktsp(pts, pairs, k, 0.5, window_solver=solver, cost_cap=cap)
+        _sweep_mktsp(pts, pairs, k, window_solver=solver, cost_cap=cap)
         assert len(set(solver.queries)) == len(solver.queries), seed
         asked += len(solver.queries)
     assert asked > 0

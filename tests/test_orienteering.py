@@ -113,8 +113,8 @@ class OnePointShortWindowSolver(ExactWindowSolver):
     """The exact oracle, but its read-back system drops the first interior
     point of its paths and still reports the exact total."""
 
-    def solve_window(self, host, point_ids, endpoints, k, delta_prime=0.0):
-        sol = super().solve_window(host, point_ids, endpoints, k, delta_prime)
+    def solve_window(self, host, point_ids, endpoints, k):
+        sol = super().solve_window(host, point_ids, endpoints, k)
         paths = list(sol.paths)
         j = next(j for j, p in enumerate(paths) if p is not None and len(p.visits) > 2)
         paths[j] = Path(host, paths[j].visits[:1] + paths[j].visits[2:])
@@ -287,17 +287,16 @@ def test_least_rooted_path_never_shortens_as_k_grows():
             assert np.array_equal(reach[1:].min(axis=1), least), (draw, root)
 
 
-def test_rooted_bound_table_is_requested_at_zero_delta_prime(delta_spy):
-    # At delta' = 0 the oracle contract is exact, which the bound relies on.
+def test_the_bound_asks_for_one_whole_set_rooted_table_of_every_count(call_spy):
+    # One rooted table over all 7 points, stopped at no count, since the
+    # bound reads every visit count; no window table.
     inst = generate(seed=5, n=7, d=2, delta=0.34)
     solve_orienteering(
         OrienteeringInstance(inst.point_set(), inst.root, inst.budget, inst.delta),
-        window_solver=delta_spy,
+        window_solver=call_spy,
     )
-    assert [dp for method, dp in delta_spy.seen if method == "rooted_table"] == [0.0]
-    assert "single_slot_table" not in {method for method, _ in delta_spy.seen}
-    # The bound reads every visit count.
-    assert delta_spy.max_visits == [("rooted_table", None)]
+    tables = [call for call in call_spy.calls if call[0].endswith("_table")]
+    assert tables == [("rooted_table", 7, None)]
 
 
 def scanned_skeletons(inst, k, bounds):
@@ -327,13 +326,11 @@ def test_rooted_path_bound_prunes_only_hopeless_skeletons():
         found = solve_orienteering(inst).certificate[0]
         bounds = rooted_bounds(inst)
         for k in range(inst.points.n, max(found, 2) - 1, -1):
-            m = min(segment_count(inst.delta), k - 1)
             for skeleton, ruled_out in scanned_skeletons(inst, k, bounds):
                 if ruled_out:
                     pairs = list(zip(skeleton, skeleton[1:]))
-                    assert solve_mktsp(
-                        inst.points, pairs, k, 1.0 / m, cost_cap=inst.budget
-                    ) is None, (skeleton, k)
+                    result = solve_mktsp(inst.points, pairs, k, cost_cap=inst.budget)
+                    assert result is None, (skeleton, k)
                     pruned += 1
     assert pruned > 100
 

@@ -449,36 +449,13 @@ def test_reused_solver_keeps_no_point_set(monkeypatch):
             inst = generate(seed=seed, n=7, d=2, kind="mktsp", m=2)
             pts = inst.point_set()
             for solve in (solve_mktsp, _sweep_mktsp):
-                solve(pts, inst.pairs, inst.k, inst.delta, window_solver=solver)
+                solve(pts, inst.pairs, inst.k, window_solver=solver)
 
     solve_all()
     gc.collect()
     assert len(built) > 50  # the instances and the sweeps' rotated copies
     assert [ref for ref in built if ref() is not None] == []
     assert solver.point_cap == window_solver.DEFAULT_POINT_CAP  # still in use
-
-
-def test_delta_prime_is_recorded(solver, delta_spy):
-    # The exact oracle takes delta_prime on each method, gives the answers it
-    # gives at 0 and keeps no record of it; the spy that the sweep tests use
-    # records every value it is passed.
-    pts = PointSet([[0, 0], [1, 0], [0.5, 0.5]])
-    ends = EndpointArrays((0,), (1,))
-    ids = [0, 1, 2]
-    for oracle in (solver, delta_spy):
-        assert oracle.solve_window(pts, ids, ends, 3, delta_prime=0.125) == (
-            solver.solve_window(pts, ids, ends, 3)
-        )
-        assert oracle.solve_lengths(pts, ids, ends, 0.125) == solver.solve_lengths(pts, ids, ends)
-        table = oracle.single_slot_table(pts, ids, 0.125)
-        assert np.array_equal(table.run(0, 2), solver.single_slot_table(pts, ids).run(0, 2))
-        rooted = oracle.rooted_table(pts, ids, 2, 0.125)
-        assert np.array_equal(rooted.run(2), solver.rooted_table(pts, ids, 2).run(2))
-    assert vars(solver) == {}
-    assert delta_spy.seen == [
-        ("solve_window", 0.125), ("solve_lengths", 0.125), ("single_slot_table", 0.125),
-        ("rooted_table", 0.125),
-    ]
 
 
 class RunAndPathTable:
@@ -499,11 +476,11 @@ class RunAndPathTable:
 class RunAndPathSolver(ExactWindowSolver):
     """The exact oracle, with its tables cut down to ``run`` and ``path``."""
 
-    def single_slot_table(self, host, point_ids, delta_prime=0.0, max_visits=None):
-        return RunAndPathTable(super().single_slot_table(host, point_ids, delta_prime, max_visits))
+    def single_slot_table(self, host, point_ids, max_visits=None):
+        return RunAndPathTable(super().single_slot_table(host, point_ids, max_visits))
 
-    def rooted_table(self, host, point_ids, root, delta_prime=0.0, max_visits=None):
-        return RunAndPathTable(super().rooted_table(host, point_ids, root, delta_prime, max_visits))
+    def rooted_table(self, host, point_ids, root, max_visits=None):
+        return RunAndPathTable(super().rooted_table(host, point_ids, root, max_visits))
 
 
 def test_sweeps_read_a_table_only_through_run_and_path():
@@ -511,9 +488,7 @@ def test_sweeps_read_a_table_only_through_run_and_path():
     # for the k-TSP solve's one-window read and for the full sweep alike, and
     # the oracle gains no state from serving a solve.
     def ktsp(inst, oracle, solve=solve_ktsp):
-        path, length = solve(
-            inst.point_set(), inst.source, inst.sink, inst.k, inst.delta, window_solver=oracle
-        )
+        path, length = solve(inst.point_set(), inst.source, inst.sink, inst.k, window_solver=oracle)
         return path.visits, length
 
     def orienteering(inst, oracle):
