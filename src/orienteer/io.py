@@ -169,7 +169,7 @@ class Instance:
         kind = data.get("kind")
         own = KIND_FIELDS[_known(kind)]
         _reject_unknown(data, INSTANCE_FIELDS, own, f"{kind} instance")
-        inst = Instance(kind, data.get("points"), data.get("delta", 0.5),
+        inst = Instance(kind, data.get("points"), data.get("delta"),
                         **{name: data.get(name) for name in own})
         inst.validate()
         if "dimension" in data and data["dimension"] != inst.dimension:

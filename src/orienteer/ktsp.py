@@ -26,7 +26,7 @@ undercut.  So ``solve_ktsp`` makes one ``single_slot_table`` request over
 all points, stopped at k, and reads that one path with ``path``: no V and
 no bridges.  The exact oracle's window table reads a path from a rooted
 Held-Karp pass from the source over the whole set and makes none of the
-per-start passes its ``run`` folds, since nothing reads that.  The rotation
+per-run passes its ``run`` keeps, since nothing reads that.  The rotation
 fixes the table's order, so the sums and ties are the ones the sweep's
 first-window read gives.  Source and sink at the same coordinates have no
 direction to rotate onto the axis, so both reads keep the given frame for

@@ -9,6 +9,7 @@ the approximation guarantees themselves.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,14 +79,8 @@ def verify_solution(instance: Instance, solution: Solution, oracle_check: bool =
             for seq, pair in zip(seqs, instance.pairs)
         )
         report.add("per-pair endpoints", ok_pairs)
-        interiors: set[int] = set()
-        disjoint = True
-        all_ids = [set(seq) for seq in seqs]
-        for idx, seq in enumerate(seqs):
-            for v in seq[1:-1]:
-                interiors.add(v)
-                if any(idx != j and v in all_ids[j] for j in range(len(seqs))):
-                    disjoint = False
+        owners = Counter(v for seq in seqs for v in set(seq))
+        disjoint = all(owners[v] == 1 for seq in seqs for v in seq[1:-1])
         report.add("interior visits disjoint", disjoint)
         report.add("visit count >= k", visited >= instance.k,
                    f"visited {visited}, k {instance.k}")

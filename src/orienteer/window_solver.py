@@ -51,11 +51,13 @@ sets so that no temporary outgrows ``CHUNK_BYTES``.  A table does no work
 that its reads do not need.  A rooted table makes its pass up front and
 keeps every layer (8.9 MB at 18 points), folds them into its prefixes on
 its first ``run`` only, and reads a path back by walking over those
-layers' sets inside the prefix, with no fold.  A window table's first
-``run`` makes a rooted table from each start in turn and folds its layers
-into the table's ranges.  Its ``path`` builds one rooted table over the
-path's run, rooted at its start, and walks that, so it pays for neither
-the per-start passes nor a fold.  That walk is the module's one read-back.
+layers' sets inside the prefix, with no fold.  A window table is the
+prefix tables of the rooted tables of its runs: the run lo..hi from start c
+is prefix hi - lo of the rooted table from c over the points from lo on, so
+its first ``run`` builds that table for each lo <= c and keeps its
+prefixes.  Its ``path`` builds one rooted table over the path's run, rooted
+at its start, and walks that, so it pays for neither the per-run passes
+nor a fold.  That walk is the module's one read-back.
 It picks the ties ``solve_window`` would pick, so a k-TSP solve reads its
 paths from the kernel and never calls ``solve_window``.
 """
@@ -212,17 +214,16 @@ class SingleSlotTable:
 
     ``pts`` lists the window in sweep order and ``dmat`` holds the distances
     between them in that order; both methods take positions in that order.
-    The first ``run`` makes a ``RootedTable`` from each start c in turn,
-    stopped after its paths over ``max_visits`` points.  It folds each of
-    that table's layers by ``np.minimum.at`` into the entry of its paths'
-    (lowest, highest) point, c counted, and their (last, start) points, and
-    drops the table before it makes the next.  A path lies inside the run
-    lo..hi exactly when its lowest point is at least lo and its highest at
-    most hi, so a prefix-min over (lo, hi) yields every run's lengths.
+    A window table is the prefix tables of the rooted tables of its runs: a
+    path from pts[c] lies inside the run lo..hi exactly when it lies inside
+    prefix hi - lo of pts[lo:].  So the first ``run`` makes a ``RootedTable``
+    from each start c over pts[lo:] for each lo <= c, stopped after its paths
+    over ``max_visits`` points, keeps its prefixes as the runs lo..hi from c
+    and drops the table before it makes the next.
 
     ``path`` reads one optimal path of a run from a ``RootedTable`` over
     that run alone, rooted at the path's start, so a table that only reads
-    paths back makes none of the per-start passes.
+    paths back makes none of the per-run passes.
     """
 
     def __init__(self, pts: tuple, dmat: np.ndarray, max_visits: int | None = None):
@@ -232,24 +233,14 @@ class SingleSlotTable:
 
     @functools.cached_property
     def _ranges(self) -> np.ndarray:
-        """ranges[lo, hi, k, d, c], from one rooted pass per start on the first ``run``."""
+        """ranges[lo, hi, k, d, c] = prefixes[hi - lo, k, d - lo] of the rooted
+        table from c over pts[lo:], built for each lo <= c on the first ``run``."""
         w, top = len(self.pts), self._top
         ranges = np.full((w, w, top + 1, w, w), INF)
-        for c in range(w):
-            ranges[c, c, 1, c, c] = 0.0  # the start alone
-            rooted = None  # free the last pass before the next one is built
-            rooted = RootedTable(self.pts, c, self._dmat, top)
-            for k, layer in enumerate(rooted._layers, 1):
-                ids = _plan(w - 1, k)[0]
-                for part in _chunks(ids.shape[1], k):
-                    pos = rooted._others[ids[:, part]]
-                    at = np.minimum(pos[0], c) * w + np.maximum(pos[-1], c)
-                    at = ((at * (top + 1) + k + 1) * w + pos) * w + c
-                    np.minimum.at(ranges.reshape(-1), at.reshape(-1), layer[:, part].reshape(-1))
-        for lo in range(w - 2, -1, -1):
-            np.minimum(ranges[lo], ranges[lo + 1], out=ranges[lo])
-        for hi in range(1, w):
-            np.minimum(ranges[:, hi], ranges[:, hi - 1], out=ranges[:, hi])
+        for lo in range(w):
+            for c in range(lo, w):
+                prefixes = RootedTable(self.pts[lo:], c - lo, self._dmat[lo:, lo:], top)._prefixes
+                ranges[lo, lo:, : prefixes.shape[1], lo:, c] = prefixes
         return ranges
 
     def run(self, lo: int, hi: int) -> np.ndarray:
@@ -262,9 +253,12 @@ class SingleSlotTable:
     def path(self, lo: int, hi: int, c: int, d: int, k: int) -> tuple | None:
         """Point ids of one shortest pts[c] -> pts[d] path over exactly k of
         the points pts[lo..hi] (positions in sweep order), or None if there
-        is none; ties as ``RootedTable.path`` breaks them."""
+        is none; ties as ``RootedTable.path`` breaks them.  Raises
+        InputError when k is over the counts the table holds."""
         if not (lo <= c <= hi and lo <= d <= hi and 1 <= k <= hi - lo + 1) or (k == 1) != (c == d):
             return None
+        if k > self._top:
+            raise InputError(f"the table holds paths over at most {self._top} points")
         run = slice(lo, hi + 1)
         return RootedTable(self.pts[run], c - lo, self._dmat[run, run], k).path(hi - lo, d - lo, k)
 
@@ -279,10 +273,10 @@ class RootedTable:
     position order, that stops after its layer of ``max_visits``-point
     paths.  Its layers hold one cell per (set, last point), 8.9 MB in all
     at 18 points, and the table keeps them for ``path`` to walk back over.
-    The first ``run`` folds each layer by ``np.minimum.at`` into the entry
-    of its sets' highest point, the root counted, and their last point; a
-    path lies inside the prefix pts[0..hi] exactly when that point is at
-    most hi, so a prefix-min over hi yields every prefix's lengths.
+    The first ``run`` folds each layer, by an unbuffered minimum, into the
+    entry of its sets' highest point, the root counted, and their last
+    point; a path lies inside the prefix pts[0..hi] exactly when that point
+    is at most hi, so a prefix-min over hi yields every prefix's lengths.
     ``path`` never folds, so a table that only reads paths back skips that
     work.
     """

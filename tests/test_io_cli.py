@@ -393,6 +393,9 @@ VALID_FILES = {
                        "verification": "passed"},
 }
 
+#: A value that leaves its field out of the file.
+MISSING = object()
+
 
 @pytest.mark.parametrize(
     "base, field, value",
@@ -432,6 +435,10 @@ VALID_FILES = {
         # solvers take no delta.
         pytest.param("ktsp", "delta", 0, id="ktsp-delta-zero"),
         pytest.param("mktsp", "delta", -0.5, id="mktsp-delta-negative"),
+        # A file without delta names no guarantee to verify against (and,
+        # for orienteering, no segment count); no default stands in for it.
+        pytest.param("orienteering", "delta", MISSING, id="orienteering-delta-missing"),
+        pytest.param("ktsp", "delta", MISSING, id="ktsp-delta-missing"),
     ],
 )
 def test_malformed_file_exits_2(tmp_path, capsys, base, field, value):
@@ -440,7 +447,10 @@ def test_malformed_file_exits_2(tmp_path, capsys, base, field, value):
     sol_file.write_text(json.dumps(VALID_FILES["solution"]))
     is_solution = base.endswith("solution")
     bad = sol_file if is_solution else inst_file
-    bad.write_text(json.dumps({**VALID_FILES[base], field: value}))
+    data = {**VALID_FILES[base], field: value}
+    if value is MISSING:
+        del data[field]
+    bad.write_text(json.dumps(data))
     if is_solution:
         argv = ["verify", str(inst_file), str(sol_file)]
     else:

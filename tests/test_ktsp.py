@@ -378,7 +378,7 @@ def test_a_solve_makes_one_request_of_each_table_and_no_window_solve():
     # A sweep asks for each table once.  Its window table holds exactly the
     # points right of the source, so the first window is the rooted table's
     # alone.  A solve asks for one window table, over every point, and reads
-    # one path from it, so the table never makes its per-start passes.
+    # one path from it, so the table never makes its per-run passes.
     left_of_source = 0
     for seed in range(20):
         rng = np.random.default_rng(seed)

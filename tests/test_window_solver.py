@@ -286,12 +286,13 @@ def test_kernel_equals_the_loops_on_ties_and_coincident_points(rng, monkeypatch,
 
 def test_a_fifteen_point_build_stays_under_its_byte_ceiling(monkeypatch):
     # Besides its ranges, a build holds the kept layers of one rooted pass at
-    # a time (the pass from each start is dropped before the next is made)
-    # and, in a step or a fold, four float-sized temporaries of a chunk of
-    # sets at most, each at most CHUNK_BYTES.  SLACK covers the index plans
-    # of the passes over 14 points (0.6 MB, most of it predecessor rows, and
-    # 0.1 MB of per-mask arrays) and the copies of distances.  The smaller
-    # second ceiling checks that the peak follows it.
+    # a time (each rooted table is dropped before the next is made) and, in
+    # a step or a fold, four float-sized temporaries of a chunk of sets at
+    # most, each at most CHUNK_BYTES.  SLACK covers the index plans of the
+    # passes over 14 points (0.6 MB, most of it predecessor rows, and 0.1 MB
+    # of per-mask arrays), which run first, from the whole window, and the
+    # copies of distances.  The smaller second ceiling checks that the peak
+    # follows it.
     SLACK = 1 << 20
     w = 15
     pts = PointSet(np.random.default_rng(15).random((w, 2)))
@@ -359,20 +360,22 @@ def test_the_plans_of_every_size_up_to_the_cap_stay_cached():
 
 
 def test_a_pass_stopped_early_builds_only_the_plans_it_reads():
-    # A 12-point table's first run makes a rooted pass from each start over
-    # the other 11 points; stopped after its paths over 4 points, each pass
-    # reads the plans of sizes 1 to 3 and no others.  A rooted table over
-    # the same points and counts builds none besides.
+    # A 12-point table's first run makes, for each run start lo, a rooted
+    # pass from each start c >= lo over the other 11 - lo points of pts[lo:];
+    # stopped after its paths over 4 points, each pass reads the plans of
+    # sizes 1 to 3 (fewer when it has fewer points) and no others.  A rooted
+    # table over the same points and counts builds none besides.
     pts = PointSet(np.random.default_rng(12).random((12, 2)))
+    reads = [(w, k) for w in range(12) for k in range(1, min(w, 3) + 1)]
     window_solver._plan.cache_clear()
     try:
         ExactWindowSolver().single_slot_table(pts, range(12), max_visits=4).run(0, 11)
         built = window_solver._plan.cache_info()
         ExactWindowSolver().rooted_table(pts, range(12), 5, max_visits=4)
-        for pair in [(11, 1), (11, 2), (11, 3)]:
+        for pair in reads:
             window_solver._plan(*pair)
         info = window_solver._plan.cache_info()
-        assert (built.currsize, info.currsize, info.misses) == (3, 3, built.misses)
+        assert (built.currsize, info.currsize, info.misses) == (len(reads), len(reads), built.misses)
     finally:
         window_solver._plan.cache_clear()
 
@@ -394,6 +397,18 @@ def test_a_table_request_outside_its_domain_raises_input_error(method, args, max
     pts = PointSet(np.random.default_rng(8).random((8, 2)))
     with pytest.raises(InputError):
         getattr(ExactWindowSolver(), method)(pts, range(6), *args, max_visits=max_visits)
+
+
+def test_a_path_over_more_points_than_the_table_holds_raises_input_error():
+    # Both tables hold the counts up to their max_visits and read no path
+    # above them, though a window table's path builds its own rooted table.
+    pts = PointSet(np.random.default_rng(6).random((6, 2)))
+    table = ExactWindowSolver().single_slot_table(pts, range(6), max_visits=2)
+    rooted = ExactWindowSolver().rooted_table(pts, range(6), table.pts[0], max_visits=2)
+    assert table.path(0, 5, 0, 5, 2) == rooted.path(5, 5, 2) is not None
+    for read in (lambda: table.path(0, 5, 0, 5, 4), lambda: rooted.path(5, 5, 4)):
+        with pytest.raises(InputError):
+            read()
 
 
 def test_runs_of_a_scattered_request_follow_the_sweep_order(rng):
