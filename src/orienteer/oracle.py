@@ -13,6 +13,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from .errors import CapacityError, InfeasibleError, InputError
+from .geometry import LENGTH_RTOL
 
 DEFAULT_MAX_POINTS = 10
 DEFAULT_MAX_PATHS = 3
@@ -139,7 +140,9 @@ def brute_orienteering(points, root: int, budget: float) -> tuple[int, list[int]
     """Exact maximum number of points reachable by a rooted path within budget.
 
     Depth-first search over all partial orderings starting at the root,
-    pruned on the running length; exhaustive, hence exact.
+    pruned on the running length; exhaustive, hence exact.  A path fits when
+    its length is at most the budget plus the slack that the solvers and
+    ``verify`` allow, ``LENGTH_RTOL`` times the diameter.
     """
     coords = _coords(points)
     n = coords.shape[0]
@@ -147,6 +150,7 @@ def brute_orienteering(points, root: int, budget: float) -> tuple[int, list[int]
     if budget < 0:
         raise InputError("budget must be nonnegative")
     dmat = distances(coords)
+    limit = budget + LENGTH_RTOL * dmat.max()
     best_count = 1
     best_path = [root]
 
@@ -160,7 +164,7 @@ def brute_orienteering(points, root: int, budget: float) -> tuple[int, list[int]
             if nxt in used:
                 continue
             step = length + dmat[last, nxt]
-            if step <= budget:
+            if step <= limit:
                 path.append(nxt)
                 used.add(nxt)
                 extend(path, used, step)

@@ -5,15 +5,16 @@ into m roughly equal-count segments at skeleton points; dropping the segment
 of largest excess and re-joining its endpoints directly leaves a path that is
 shorter by that excess yet still visits a (1 - 1/m) fraction of the points.
 The multi-path solver run on the skeleton's endpoint pairs recovers such a
-path without knowing the optimum: the driver enumerates every ordered
-skeleton tuple rooted at the start point, for k from n downward, and returns
-the first in-budget concatenation.
+path without knowing the optimal path.  The driver reads the optimal count
+k_opt off one whole-set table of optimal rooted path lengths per (visit
+count, sink): the largest k with an in-budget entry.  It then tries every
+ordered skeleton rooted at the start point at k_opt and returns the first
+in-budget concatenation.
 
-Each segment count's skeletons form one array of rows, sorted by their
-straight-line length and cut at the budget.  One whole-set table of optimal
-rooted path lengths per (visit count, sink) skips every skeleton whose
-joined path could not fit: a skeleton ending at s_m is tried at k only when
-some rooted path to s_m over at least k points fits the budget.
+The skeletons form one array of rows, sorted by their straight-line length
+and cut at the budget.  The same table skips every skeleton whose joined
+path could not fit: one ending at s_m is tried only when some rooted path
+over k_opt points ending at s_m fits the budget.
 
 The number of segments is ceil(1/delta), which makes 1/m <= delta and hence
 the visit guarantee at least ceil((1 - delta) * k_opt).
@@ -32,7 +33,7 @@ from itertools import chain, permutations
 
 import numpy as np
 
-from .errors import InputError
+from .errors import ConsistencyError, InputError
 from .geometry import PointSet
 from .mktsp import solve_mktsp
 from .paths import MultiPath, Path, concatenate, path_length
@@ -96,81 +97,69 @@ def solve_orienteering(
 ) -> OrienteeringSolution:
     """Maximize visits under the budget with a (1 - delta) guarantee.
 
-    Scans k from n down to 2; for each k, tries every ordered skeleton of
-    distinct points rooted at the start (using k - 1 segments when k is
-    small), asks the multi-path solver for a k-visit system over the
-    skeleton pairs, and returns the first concatenation within budget.  An
-    accepted system at k visits exactly k points (``solve_mktsp`` raises
-    ConsistencyError for a read-back that does not), so no smaller k could
-    beat it.  When nothing is accepted the answer is the root alone.
+    Reads k_opt, the largest count with an in-budget rooted path, from one
+    whole-set table of optimal rooted path lengths, and returns the root
+    alone when k_opt = 1.  Otherwise it tries every ordered skeleton of
+    m = min(ceil(1/delta), k_opt - 1) segments rooted at the start whose
+    straight-line length fits the budget and whose last point some
+    in-budget rooted path over k_opt points ends at, shortest straight line
+    first.  For each it asks the multi-path solver for a k_opt-visit system
+    over the skeleton pairs, and returns the first concatenation within
+    budget.  ``solve_mktsp`` raises ConsistencyError for a read-back over
+    other than k_opt points.
 
-    The skeleton pool of each segment count is one array of rows (root,
-    tail), kept only where the straight-line skeleton length fits the budget
-    and sorted by that length.  One whole-set table of optimal rooted path
-    lengths then skips every k at which no rooted path fits, and every
-    skeleton at k whose last point no in-budget rooted path over at least k
-    points reaches.  Raises CapacityError, from that table's request, when
+    The optimal path's own skeleton is among those tried, and its system
+    fits the budget, so an oracle that honours its contract always yields
+    an answer; when no skeleton does, the oracle broke it and this raises
+    ConsistencyError.  Raises CapacityError, from the table's request, when
     the point set is over the window oracle's point cap, whatever the budget.
     """
     points = instance.points
     n = points.n
     root = instance.root
     limit = instance.budget + points.length_tolerance()
-    m_full = segment_count(instance.delta)
-    dmat = points.distance_matrix()
+    solver = window_solver if window_solver is not None else ExactWindowSolver()
 
-    # Certificate table, from one rooted table over the whole point set,
-    # which the oracle answers exactly within its point cap: rooted[k, q] is
-    # the optimal root -> q path over exactly k points.  An accepted system at k joins
-    # into a root -> s_m path over exactly k distinct points, so it is at
-    # least reach[k, s_m], the least rooted[k', s_m] over k' >= k.  A
-    # (k + 1)-point rooted path is a k-point one plus an edge, so the least
-    # rooted path never shortens as k grows, and reach[k].min() is the least
-    # rooted[k, q] over q.  The request raises CapacityError past the
+    # One rooted table over the whole point set, which the oracle answers
+    # exactly within its point cap: rooted[k, q] is the optimal root -> q
+    # path over exactly k points.  The request raises CapacityError past the
     # oracle's point cap, before any skeleton is tried.
-    bound_solver = window_solver if window_solver is not None else ExactWindowSolver()
-    table = bound_solver.rooted_table(points, range(n), root)
+    table = solver.rooted_table(points, range(n), root)
     rooted = table.run(n - 1)[:, points.ranks]  # table positions follow the sweep order
-    del table  # rooted is a copy; free the table's kept layers before the scan
-    reach = np.minimum.accumulate(rooted[::-1])[::-1]  # [k, q]
+    del table  # rooted is a copy; free the table's kept layers before the skeletons
+    # The largest count with an in-budget rooted path; row 1, the root
+    # alone, always has one.
+    k_opt = int(np.flatnonzero(rooted.min(axis=1) <= limit).max(initial=1))
+    if k_opt == 1:
+        return OrienteeringSolution(Path(points, (root,)), 1, 0.0, (1, (root,)))
 
+    # Rows (root, tail) whose straight-line length, a lower bound on any path
+    # system over them, fits the budget, and whose last point ends some
+    # in-budget rooted path over k_opt points; shortest first, ties in
+    # ``permutations`` order.
+    m = min(segment_count(instance.delta), k_opt - 1)
     others = [i for i in range(n) if i != root]
-    skeleton_pool: dict[int, np.ndarray] = {}
+    rows = np.fromiter(
+        chain.from_iterable((root,) + tail for tail in permutations(others, m)),
+        dtype=np.intp,
+    ).reshape(-1, m + 1)
+    dmat = points.distance_matrix()
+    direct = np.zeros(len(rows))
+    for j in range(m):  # left to right, as Python's sum adds
+        direct += dmat[rows[:, j], rows[:, j + 1]]
+    keep = (direct <= limit) & (rooted[k_opt, rows[:, -1]] <= limit)
+    rows = rows[keep][np.argsort(direct[keep], kind="stable")]
 
-    def skeletons_for(m_eff: int) -> np.ndarray:
-        """Rows (root, tail) whose straight-line length, a lower bound on any
-        path system over them, fits the budget; shortest first, ties in
-        ``permutations`` order."""
-        if m_eff not in skeleton_pool:
-            rows = np.fromiter(
-                chain.from_iterable((root,) + tail for tail in permutations(others, m_eff)),
-                dtype=np.intp,
-            ).reshape(-1, m_eff + 1)
-            direct = np.zeros(len(rows))
-            for j in range(m_eff):  # left to right, as Python's sum adds
-                direct += dmat[rows[:, j], rows[:, j + 1]]
-            fits = direct <= limit
-            skeleton_pool[m_eff] = rows[fits][np.argsort(direct[fits], kind="stable")]
-        return skeleton_pool[m_eff]
-
-    for k in range(n, 1, -1):
-        if reach[k].min() > limit:
-            continue  # provably no k-visit rooted path fits the budget
-        m_eff = min(m_full, k - 1)
-        rows = skeletons_for(m_eff)
-        rows = rows[reach[k, rows[:, -1]] <= limit]
-        for skeleton in map(tuple, rows.tolist()):
-            pairs = [(skeleton[j], skeleton[j + 1]) for j in range(m_eff)]
-            result = solve_mktsp(
-                points, pairs, k, window_solver=window_solver, cost_cap=instance.budget
-            )
-            if result is None:
-                continue
-            path = concatenate_skeleton_paths(result[0], skeleton)
-            visited = len(set(path.visits))
-            length = path_length(path)
-            if length > limit:
-                continue
-            return OrienteeringSolution(path, visited, length, (k, skeleton))
-    # k = 1 always succeeds with the trivial path at the root.
-    return OrienteeringSolution(Path(points, (root,)), 1, 0.0, (1, (root,)))
+    for skeleton in map(tuple, rows.tolist()):
+        pairs = list(zip(skeleton, skeleton[1:]))
+        result = solve_mktsp(points, pairs, k_opt, window_solver=solver, cost_cap=instance.budget)
+        if result is None:
+            continue
+        path = concatenate_skeleton_paths(result[0], skeleton)
+        length = path_length(path)
+        if length <= limit:
+            return OrienteeringSolution(path, k_opt, length, (k_opt, skeleton))
+    raise ConsistencyError(
+        f"no skeleton system over {k_opt} points fits the budget, "
+        "though the rooted table holds such a path"
+    )

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from orienteer import PointSet, solve_orienteering
 from orienteer.errors import CapacityError, InfeasibleError
 from orienteer.oracle import brute_ktsp, brute_mktsp, brute_orienteering
+from orienteer.orienteering import OrienteeringInstance
 
 
 def test_ktsp_collinear():
@@ -74,6 +76,16 @@ def test_orienteering_zero_budget():
     k_opt, path = brute_orienteering(pts, 0, 0.0)
     assert k_opt == 1
     assert path == [0]
+
+
+def test_orienteering_allows_the_solvers_slack():
+    # The second point lies 5e-10 past the budget, within the 1e-9 times
+    # the diameter that the solver and ``verify`` allow, so both count it.
+    pts = [[0.0, 0], [1 + 5e-10, 0]]
+    k_opt, path = brute_orienteering(pts, 0, 1.0)
+    assert (k_opt, path) == (2, [0, 1])
+    sol = solve_orienteering(OrienteeringInstance(PointSet(pts), 0, 1.0, 0.5))
+    assert sol.visited == k_opt
 
 
 def test_orienteering_slack_budget_visits_everything(rng):

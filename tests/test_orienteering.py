@@ -97,7 +97,7 @@ def test_zero_budget_returns_root_only():
 
 @pytest.mark.parametrize("budget", [0.0, 1.0])
 def test_over_the_point_cap_the_bound_table_request_raises(monkeypatch, budget):
-    # The rooted table is the scan's one capacity owner: past the oracle's
+    # The rooted table is the driver's one capacity owner: past the oracle's
     # point cap it raises before any skeleton goes to the multi-path
     # solver, at a zero budget too.
     def spy(*args, **kwargs):
@@ -123,12 +123,31 @@ class OnePointShortWindowSolver(ExactWindowSolver):
 
 def test_a_skeleton_system_one_point_short_is_a_consistency_error():
     # The (m,k)-TSP read rejects a system over other than k points, so no
-    # joined skeleton path over fewer than k points reaches the scan.  At
+    # joined skeleton path over fewer than k points reaches the driver.  At
     # k = n = 6 with two segments, three of the six points are interior.
     pts = PointSet(np.random.default_rng(7).random((6, 2)))
     with pytest.raises(ConsistencyError, match="not a system over 6 points"):
         solve_orienteering(
             OrienteeringInstance(pts, 0, 10.0, 0.5), window_solver=OnePointShortWindowSolver()
+        )
+
+
+class NoLengthsWindowSolver(ExactWindowSolver):
+    """The exact oracle, but it finds no multi-slot system at any count."""
+
+    def solve_lengths(self, host, point_ids, endpoints):
+        return {}
+
+
+def test_an_oracle_that_finds_no_skeleton_system_is_a_consistency_error():
+    # The rooted table gives k_opt = 5 here, so the guarantee needs at least
+    # 4 visits: a skeleton read that finds nothing is the oracle breaking
+    # its contract, not a licence to answer with the root alone.
+    inst = generate(seed=5, n=7, d=2, delta=0.34)
+    with pytest.raises(ConsistencyError, match="over 5 points"):
+        solve_orienteering(
+            OrienteeringInstance(inst.point_set(), inst.root, inst.budget, inst.delta),
+            window_solver=NoLengthsWindowSolver(),
         )
 
 
@@ -144,7 +163,7 @@ def test_guarantee_on_random_instances(rng):
             assert sol.length <= budget + tol
             assert sol.path.visits[0] == 0
             assert sol.visited >= math.ceil((1 - delta) * k_opt)
-            assert sol.visited <= k_opt  # cannot beat the optimum
+            assert sol.visited == k_opt
             assert sol.visited == len(set(sol.path.visits))
 
 
@@ -159,7 +178,8 @@ def test_guarantee_with_five_or_more_segments(rng):
         for delta in (0.2, 0.15):
             sol = solve_orienteering(OrienteeringInstance(pts, 0, budget, delta))
             assert sol.length <= budget + 1e-9 * max(1.0, pts.diameter())
-            assert math.ceil((1 - delta) * k_opt) <= sol.visited <= k_opt
+            assert math.ceil((1 - delta) * k_opt) <= sol.visited
+            assert sol.visited == k_opt
             assert sol.visited == len(set(sol.path.visits))
 
 def test_budget_chain_excess_split(rng):
@@ -252,7 +272,7 @@ def rooted_bounds(inst):
     """rooted[k, q], the optimal root -> q path length over exactly k
     points, read at the root's start column of the exact whole-set window
     table (a fold over runs, apart from the rooted table's fold over
-    prefixes that the scan reads), and reach[k, q], the least
+    prefixes that the driver reads), and reach[k, q], the least
     rooted[k', q] over k' >= k."""
     n = inst.points.n
     table = ExactWindowSolver().single_slot_table(inst.points, list(range(n)))
@@ -269,8 +289,10 @@ def rooted_bounds(inst):
 
 def test_least_rooted_path_never_shortens_as_k_grows():
     # A (k + 1)-point path is a k-point path plus one nonnegative edge, so
-    # the least rooted path over exactly k points is nondecreasing in k, and
-    # the scan's per-k skip can read it off the suffix minimum over k.
+    # the least rooted path over exactly k points is nondecreasing in k: the
+    # counts with an in-budget rooted path are exactly 1 .. k_opt, and the
+    # suffix minimum over k, which a scan from k = n down would keep, equals
+    # the least path at each k.
     rng = np.random.default_rng(12)
     for draw in range(40):
         n = 3 + draw % 8
@@ -300,10 +322,10 @@ def test_the_bound_asks_for_one_whole_set_rooted_table_of_every_count(call_spy):
 
 
 def scanned_skeletons(inst, k, bounds):
-    """Skeletons the scan reaches at k, each with its verdict under the
-    rooted path bound (True: ruled out).  These are the skeletons whose
+    """Skeletons the driver would reach at k, each with its verdict under
+    the rooted path bound (True: ruled out).  These are the skeletons whose
     straight-line length fits the budget, and none when no rooted path over
-    exactly k points fits: the scan skips that k first."""
+    exactly k points fits, as at every k above k_opt."""
     pts, root = inst.points, inst.root
     rooted, reach = bounds
     limit = inst.budget + pts.length_tolerance()
@@ -336,8 +358,9 @@ def test_rooted_path_bound_prunes_only_hopeless_skeletons():
 
 
 def test_scan_calls_the_solver_on_exactly_the_skeletons_the_bound_keeps(monkeypatch):
-    # At each k the scan passes without an answer, it tries every skeleton
-    # that the straight-line and rooted path bounds keep, and no other.
+    # Above k_opt the bounds keep no skeleton and the driver tries none; at
+    # k_opt it tries only skeletons that the straight-line and rooted path
+    # bounds keep, the winner among them.
     calls = {}
 
     def spy(points, pairs, k, *args, **kwargs):

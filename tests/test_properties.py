@@ -183,6 +183,7 @@ def test_orienteering_keeps_its_guarantee_with_the_budget_on_an_optimal_length(i
 
     k_opt, _ = brute_orienteering(coords, 0, budget)
     assert sol.visited >= math.ceil((1.0 - delta) * k_opt)
+    assert sol.visited == k_opt
     assert sol.length <= budget + points.length_tolerance()
 
 
