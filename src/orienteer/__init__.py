@@ -40,7 +40,6 @@ from .windows import (
     WindowDecomposition,
     decompose_path,
     window_excess,
-    window_points,
 )
 from .directions import DirectionResult, find_direction, orient_pairs
 from .window_solver import EndpointArrays, ExactWindowSolver, WindowSolution
@@ -94,5 +93,4 @@ __all__ = [
     "solve_mktsp",
     "solve_orienteering",
     "window_excess",
-    "window_points",
 ]

@@ -120,10 +120,6 @@ class PointSet:
             self._ranks = r
         return self._ranks
 
-    def sweep_before(self, i: int, j: int) -> bool:
-        """True iff point i precedes point j in the tie-broken sweep order."""
-        return self.ranks[i] < self.ranks[j]
-
     def distance(self, i: int, j: int) -> float:
         return _norm(self.coords[i] - self.coords[j])
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, InputError
-from .geometry import PointSet, norms
+from .geometry import PointSet
 
 #: Length-bound constant for edges more than gamma radians off the endpoint
 #: direction: their total length is at most OFFANGLE_COEFF / gamma^2 times the
@@ -92,11 +92,12 @@ class MultiPath:
 
 
 def path_length(path: Path) -> float:
-    """Sum of consecutive distances; 0 for a single-point path."""
-    pts = path.coords()
-    if pts.shape[0] < 2:
+    """Sum of consecutive distances, read from the host's shared distance
+    matrix; 0 for a single-point path."""
+    v = path.visits
+    if len(v) < 2:
         return 0.0
-    return float(norms(np.diff(pts, axis=0)).sum())
+    return float(path.host.distance_matrix()[v[:-1], v[1:]].sum())
 
 
 def excess(path: Path) -> float:

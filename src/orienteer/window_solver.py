@@ -3,14 +3,15 @@
 Given a set of candidate points, per-slot endpoint prescriptions (or null for
 an idle slot) and a visit count, ``solve_window`` returns the cheapest way to
 route one path per active slot through exactly that many distinct points.
-The search is one bitmask dynamic program over (slot, visited set, current
-point), with a single mode: it always keeps parent links.  Slots are
-processed in index order, each as a loop over its states bucketed by visit
-count, and transitions between slots cost nothing, since the objective is the
-plain sum of path lengths.  The oracle keeps no memo: each call runs the DP,
-so ``solve_window`` reads its system back from that call's parent links, and
-a caller that repeats a query memoizes it.  The DP reads the host's shared
-``distance_rows`` by point id, with one mask bit per id.
+The search is one bitmask dynamic program that takes the active slots in
+index order.  A slot's open states are keyed by (visited set, current point)
+in layers by visit count, and its closed states by visited set; moving to the
+next slot costs nothing, since the objective is the plain sum of path
+lengths.  The DP reads the host's shared ``distance_rows`` by point id, with
+one mask bit per id.  ``solve_lengths`` keeps no parent links.
+``solve_window`` keeps them per slot, expands no state that already has k
+visits and reads its system back along them.  The oracle keeps no memo, so a
+caller that repeats a query memoizes it.
 
 The oracle's contract is "exact within ``point_cap``": every answer is the
 window optimum, and a window over more than ``point_cap`` points raises
@@ -23,43 +24,32 @@ through its ``run`` and ``path`` methods.  An (m,k)-TSP solve asks
 ``solve_lengths`` once, over the whole set with its pairs as the endpoints,
 and reads the system of its count back with one ``solve_window`` call.
 
-``single_slot_table`` is a batched variant for the one-path case: its
-table holds optima for *all* endpoint pairs and visit counts of every
-contiguous run of a window's points in sweep order, read with
-``SingleSlotTable.run``, and one optimal path of any of them, read with
-``SingleSlotTable.path``.  A k-TSP solve asks it for the whole set and
-reads one path, from the source to the sink; the k-TSP sweep asks it for
-the points right of the source and reads every window after the first from
-it.  ``rooted_table`` is the one-start variant: one pass
-from a root over the other points gives optima for every end and visit
-count of every prefix of a window, which serves the sweep's first window,
-entered only at the source, and the orienteering bound, read only from the
-root.  Both take ``max_visits``: the pass stops after its layer of paths
-over that many points, so the table holds the counts up to it and no more.
-The k-TSP solve and sweep ask for their k; the orienteering bound reads
-every count and asks for none.  A swapped-in table may hold more counts
-than asked, since no caller reads one above ``max_visits``.  Here a
-``max_visits`` other than None or an int >= 1, or a root outside the
-window, raises InputError.
+``single_slot_table`` is a batched variant for the one-path case: its table
+holds optima for *all* endpoint pairs and visit counts of every contiguous
+run of a window's points in sweep order, read with ``SingleSlotTable.run``,
+and one optimal path of any of them, read with ``SingleSlotTable.path``.  A
+k-TSP solve asks it for the whole set and reads one path; the k-TSP sweep
+reads every window after its first from it.  ``rooted_table`` is the
+one-start variant: one pass from a root gives optima for every end and visit
+count of every prefix of a window, which serves the sweep's first window and
+the orienteering bound.  Both take ``max_visits``: the pass stops after its
+layer of paths over that many points, so the table holds the counts up to it
+and no more, and a swapped-in table may hold more.  A ``max_visits`` other
+than None or an int >= 1, or a root outside the window, raises InputError.
 
-Both tables read one Held-Karp kernel, a pass from one start point over
-the other points of a window.  It stores each layer of visited sets of one
-size compactly, as dp[last, set] over the positions of the set's own
-points, so it carries no cell for a point outside the set.  Each layer is
-one vectorised min-plus step over the one before, taken over chunks of
-sets so that no temporary outgrows ``CHUNK_BYTES``.  A table does no work
-that its reads do not need.  A rooted table makes its pass up front and
-keeps every layer (8.9 MB at 18 points), folds them into its prefixes on
-its first ``run`` only, and reads a path back by walking over those
-layers' sets inside the prefix, with no fold.  A window table is the
-prefix tables of the rooted tables of its runs: the run lo..hi from start c
-is prefix hi - lo of the rooted table from c over the points from lo on, so
-its first ``run`` builds that table for each lo <= c and keeps its
-prefixes.  Its ``path`` builds one rooted table over the path's run, rooted
-at its start, and walks that, so it pays for neither the per-run passes
-nor a fold.  That walk is the module's one read-back.
-It picks the ties ``solve_window`` would pick, so a k-TSP solve reads its
-paths from the kernel and never calls ``solve_window``.
+Both tables read one Held-Karp kernel, a pass from one start point over the
+other points of a window.  It stores each layer of visited sets of one size
+compactly, as dp[last, set] over the positions of the set's own points.
+Each layer is one vectorised min-plus step over the one before, taken over
+chunks of sets so that no temporary outgrows ``CHUNK_BYTES``.  A rooted
+table makes its pass up front and keeps every layer (8.9 MB at 18 points).
+Its ``run`` over the whole window folds each layer into one row per count,
+and only a ``run`` over a shorter prefix, which the reference sweep alone
+asks for, folds them into every prefix.  Its ``path`` walks back over the
+layers with no fold.  A window table is the prefix tables of the rooted
+tables of its runs, so its first ``run`` builds one for each run start and
+start point.  Its ``path`` builds one rooted table over the path's run and
+walks that; the walk picks the ties ``solve_window`` would pick.
 """
 
 from __future__ import annotations
@@ -167,8 +157,10 @@ class ExactWindowSolver:
         """Cheapest path system visiting exactly k distinct points."""
         pts = sorted(int(p) for p in point_ids)
         self._check_cap(pts)
-        lengths, finals = _multi_slot_dp(host, pts, endpoints)
-        return _reconstruct(host, endpoints, lengths, finals, k)
+        lengths, paths = _multi_slot_dp(host, pts, endpoints, k)
+        if paths is None:
+            return WindowSolution(INF, (None,) * endpoints.slots, 0)
+        return WindowSolution(lengths[k], paths, k)
 
     # -- batched single-slot interface ------------------------------------
 
@@ -273,12 +265,13 @@ class RootedTable:
     position order, that stops after its layer of ``max_visits``-point
     paths.  Its layers hold one cell per (set, last point), 8.9 MB in all
     at 18 points, and the table keeps them for ``path`` to walk back over.
-    The first ``run`` folds each layer, by an unbuffered minimum, into the
-    entry of its sets' highest point, the root counted, and their last
-    point; a path lies inside the prefix pts[0..hi] exactly when that point
-    is at most hi, so a prefix-min over hi yields every prefix's lengths.
-    ``path`` never folds, so a table that only reads paths back skips that
-    work.
+    ``run(w - 1)`` folds each layer, by an unbuffered minimum, into the row
+    of its count at each set's last point.  A ``run`` over a shorter prefix
+    folds them once into the entry of their sets' highest point, the root
+    counted, too; a path lies inside the prefix pts[0..hi] exactly when that
+    point is at most hi, so a prefix-min over hi yields every prefix's
+    lengths.  Both folds take the minimum of the same floats.  ``path``
+    never folds, so a table that only reads paths back skips that work.
     """
 
     def __init__(self, pts: tuple, root: int, dmat: np.ndarray, max_visits: int | None = None):
@@ -294,7 +287,8 @@ class RootedTable:
 
     @functools.cached_property
     def _prefixes(self) -> np.ndarray:
-        """prefixes[hi, k, d], folded from the layers on the first ``run``."""
+        """prefixes[hi, k, d], folded from the layers on the first ``run``
+        over a shorter prefix."""
         root, top, others = self.root, self._top, self._others
         w = len(self.pts)
         prefixes = np.full((w, top + 1, w), INF)
@@ -312,7 +306,14 @@ class RootedTable:
         the points pts[0..hi] (INF when impossible, and everywhere when hi is
         left of the root), for k = 0 .. hi + 1, or up to the table's
         ``max_visits`` if that is smaller, and d = 0 .. hi."""
-        return self._prefixes[hi, : hi + 2, : hi + 1]
+        w, others = len(self.pts), self._others
+        if hi < w - 1:
+            return self._prefixes[hi, : hi + 2, : hi + 1]
+        whole = np.full((self._top + 1, w), INF)  # each layer's row at its sets' last points
+        whole[1, self.root] = 0.0  # the root alone
+        for k, layer in enumerate(self._layers, 1):
+            np.minimum.at(whole[k + 1], others[_plan(w - 1, k)[0]], layer)
+        return whole
 
     def path(self, hi: int, d: int, k: int) -> tuple | None:
         """Point ids of one shortest pts[root] -> pts[d] path over exactly k
@@ -431,80 +432,80 @@ def _held_karp(dmat: np.ndarray, start: np.ndarray):
         yield layer
 
 
-def _multi_slot_dp(host: PointSet, pts: list, endpoints: EndpointArrays):
-    """Slot-sequential bitmask DP over (slot position, closed, mask, point).
+def _multi_slot_dp(host: PointSet, pts: list, endpoints: EndpointArrays, k: int | None = None):
+    """Slot-sequential bitmask DP over each active slot's open states
+    (mask, point), in layers by visit count, and its closed states, by mask.
 
-    ``pts`` holds the window's ids in ascending order; bit p of a mask stands
-    for point id p.  Returns (lengths, finals): lengths maps visit count ->
-    optimal total length, and finals maps visit count -> (final state, parent
-    links) for ``_reconstruct``.  Both miss every count when a slot is half
-    null, and hold only k = 0 when no slot is active.
+    ``pts`` holds the window's ids in ascending order; bit p of a mask
+    stands for point id p.  Returns (lengths, paths): lengths maps visit
+    count -> optimal total length, with no count when a slot is half null
+    and only 0 when none is active.  With k None, paths is None and no
+    parent link is kept.  Otherwise no state with k visits is expanded, and
+    paths holds a system over k points, one ``Path`` per active slot and
+    None per idle one, read back along each slot's links, or is None when
+    there is none.  Ties go to the first state found.
     """
     if endpoints.has_half_null_slot():
-        return {}, {}
-    active = endpoints.active_slots()
-    if not active:
-        return {0: 0.0}, {0: (None, {})}
-
+        return {}, None
     ends = endpoints.endpoint_ids()
     for p in ends:
         if p not in pts:
             raise InputError(f"endpoint {p} not inside the window")
     dmat = host.distance_rows()
-    interiors = [p for p in pts if p not in ends]
+    interiors = [(p, 1 << p) for p in pts if p not in ends]
+    top = len(pts) if k is None else min(k, len(pts))
+    keep, active, links = k is not None, endpoints.active_slots(), []
 
-    parents: dict = {}
-
-    def record(key, parent, cost, store: dict):
-        if cost < store.get(key, INF):
-            store[key] = cost
-            parents[key] = parent
-
-    closed: dict = {None: 0.0}  # the empty system before the first slot
-    for pos, slot in enumerate(active):
-        s = endpoints.sources[slot]
-        t = endpoints.sinks[slot]
+    closed = {0: 0.0}  # the empty system before the first slot
+    for slot in active:
+        s, t = endpoints.sources[slot], endpoints.sinks[slot]
+        sbit, tbit = 1 << s, 1 << t
+        links.append((opens := {}, closes := {}))  # filled only when keep
         # Open the slot at its source from every state that closed the
-        # previous one, bucketed by visit count; a move adds one point, so
-        # each bucket is final before it is expanded.
-        layers: list[dict] = [{} for _ in range(len(pts) + 1)]
-        for key, cost in closed.items():
-            mask = (key[2] if key else 0) | 1 << s
-            record((pos, False, mask, s), key, cost, layers[mask.bit_count()])
+        # previous one.  A move adds one point, so each layer is final before
+        # it is expanded, and s is never an interior, so a state at s is an
+        # opening one.
+        layers = [{} for _ in range(top + 2)]
+        for mask, cost in closed.items():
+            key = (mask | sbit, s)
+            pop = key[0].bit_count()
+            if pop <= top and cost < layers[pop].get(key, INF):
+                layers[pop][key] = cost
+                if keep:
+                    opens[key] = mask
         closed = {}
         moves = interiors if s != t else []  # a one-point slot has no interior
-        for pop, layer in enumerate(layers):
-            for key, cost in layer.items():
-                _, _, mask, cur = key
-                record((pos, True, mask | 1 << t, t), key, cost + dmat[cur][t], closed)
-                for p in moves:
-                    if not mask >> p & 1:
-                        nkey = (pos, False, mask | 1 << p, p)
-                        record(nkey, key, cost + dmat[cur][p], layers[pop + 1])
+        for pop in range(top + 1):
+            nxt = layers[pop + 1]
+            for key, cost in layers[pop].items():
+                mask, cur = key
+                row = dmat[cur]
+                c, done = cost + row[t], mask | tbit
+                if c < closed.get(done, INF):
+                    closed[done] = c
+                    if keep:
+                        closes[done] = key
+                for p, bit in moves if pop < top else ():
+                    if not mask & bit:
+                        step, c = (mask | bit, p), cost + row[p]
+                        if c < nxt.get(step, INF):
+                            nxt[step] = c
+                            if keep:
+                                opens[step] = key
 
-    lengths: dict[int, float] = {}
-    finals: dict[int, tuple] = {}
-    for key, cost in closed.items():
-        k = key[2].bit_count()
-        if cost < lengths.get(k, INF):
-            lengths[k] = cost
-            finals[k] = (key, parents)
-    return lengths, finals
-
-
-def _reconstruct(host: PointSet, endpoints: EndpointArrays, lengths, finals, k: int) -> WindowSolution:
-    paths: list[Path | None] = [None] * endpoints.slots
+    lengths, finals = {}, {}
+    for mask, cost in closed.items():
+        if cost < lengths.get(pop := mask.bit_count(), INF):
+            lengths[pop], finals[pop] = cost, mask
     if k not in finals:
-        return WindowSolution(INF, tuple(paths), 0)
-    key, parents = finals[k]
-    active = endpoints.active_slots()
-    visits: list[list[int]] = [[] for _ in active]
-    while key is not None:
-        parent = parents[key]
-        pos, closed, _, cur = key
-        if not (closed and parent[3] == cur):  # else the close of a one-point slot
-            visits[pos].append(cur)
-        key = parent
-    for pos, slot in enumerate(active):
-        paths[slot] = Path(host, tuple(reversed(visits[pos])))
-    return WindowSolution(lengths[k], tuple(paths), k)
+        return lengths, None
+    paths, mask = [None] * endpoints.slots, finals[k]
+    for slot, (opens, closes) in zip(reversed(active), reversed(links)):
+        s, t = endpoints.sources[slot], endpoints.sinks[slot]
+        visits, key = ([t] if s != t else []), closes[mask]
+        while key[1] != s:
+            visits.append(key[1])
+            key = opens[key]
+        mask = opens[key]
+        paths[slot] = Path(host, (s, *reversed(visits)))
+    return lengths, tuple(paths)

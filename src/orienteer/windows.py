@@ -57,13 +57,6 @@ class WindowDecomposition:
     monotone_segments: tuple[Path, ...]
 
 
-def window_points(window: Window, points: PointSet) -> list[int]:
-    """Ids contained in the window, inclusive on both anchors, in sweep order."""
-    r = points.ranks
-    lo, hi = r[window.left_id], r[window.right_id]
-    return [int(i) for i in points.sweep_order[lo : hi + 1]]
-
-
 def window_excess(path: Path, window: Window, entry_id: int, exit_id: int) -> float:
     """Excess of the path's traversal of a window: subpath length minus the
     sweep-axis distance between its entry and exit points."""

@@ -119,7 +119,6 @@ def test_sweep_order_is_a_strict_total_order_under_ties():
     assert order == [3, 1, 0, 2]
     ranks = pts.ranks
     assert sorted(ranks) == [0, 1, 2, 3]
-    assert pts.sweep_before(1, 0) and pts.sweep_before(0, 2)
 
 
 def test_pointset_rejects_nonfinite():

@@ -15,7 +15,7 @@ from orienteer import (
 from orienteer import orienteering
 from orienteer.errors import CapacityError, ConsistencyError, InputError
 from orienteer.generate import DISTRIBUTIONS, generate
-from orienteer.io import Solution
+from orienteer.io import Instance, Solution
 from orienteer.mktsp import _sweep_mktsp, solve_mktsp
 from orienteer.oracle import brute_orienteering
 from orienteer.orienteering import OrienteeringInstance, segment_count
@@ -229,6 +229,25 @@ def test_budget_tolerance_is_scale_relative(scale):
                        visits=list(over.visits))
     )
     assert [c["check"] for c in report.checks if not c["ok"]] == ["within budget"]
+
+
+def test_verify_slack_is_the_length_tolerance_of_a_subnormal_pair_and_a_lone_point():
+    # verify's slack, LENGTH_RTOL times the largest distance it computes, is
+    # the instance's length_tolerance(): 0.0 for two points a subnormal apart
+    # and for one point, so a length or budget off by the least subnormal fails.
+    def failed(inst, length, visits):
+        sol = Solution(kind="orienteering", length=length, visited=len(visits), visits=visits)
+        report = verify_solution(inst, sol, oracle_check=True)
+        return [c["check"] for c in report.checks if not c["ok"]]
+
+    pair, lone = [[0, 0], [5e-324, 0]], [[0.3, 0.7]]
+    for points, visits, length in ((pair, [0, 1], 5e-324), (lone, [0], 0.0)):
+        inst = Instance(kind="orienteering", points=points, delta=0.5, root=0, budget=length)
+        assert inst.validate().point_set().length_tolerance() == 0.0
+        assert failed(inst, length, visits) == [], points
+        assert failed(inst, length + 5e-324, visits) == ["length recomputes"], points
+    inst = Instance(kind="orienteering", points=pair, delta=0.5, root=0, budget=0.0)
+    assert failed(inst, 5e-324, [0, 1]) == ["within budget"]
 
 
 def test_instance_validation():

@@ -312,10 +312,11 @@ def test_a_fifteen_point_build_stays_under_its_byte_ceiling(monkeypatch):
 
 
 def test_a_fifteen_point_rooted_build_stays_under_its_byte_ceiling(monkeypatch):
-    # A rooted build holds its prefixes and every layer of its one-start
-    # pass, which the table keeps, and, in a step or a fold, four float-sized
-    # temporaries of a chunk of sets at most, each at most CHUNK_BYTES.
-    # SLACK is the window table's.
+    # A rooted build holds every layer of its one-start pass, which the
+    # table keeps, and, in a step, four float-sized temporaries of a chunk of
+    # sets at most, each at most CHUNK_BYTES.  The whole window's run folds
+    # into one row per count, well under the prefixes a shorter run builds,
+    # which the ceiling still allows.  SLACK is the window table's.
     SLACK = 1 << 20
     w = 15
     pts = PointSet(np.random.default_rng(15).random((w, 2)))
@@ -334,6 +335,21 @@ def test_a_fifteen_point_rooted_build_stays_under_its_byte_ceiling(monkeypatch):
             tracemalloc.stop()
         assert rooted.path(w - 1, 0, w) is not None
         assert peak < prefixes_bytes + layers_bytes + 4 * chunk_bytes + SLACK, (chunk_bytes, peak)
+
+
+def test_a_whole_window_run_builds_no_prefix_table(rng):
+    # A run over the whole window folds one row per count and builds no
+    # prefix table; only a run over a shorter prefix does, and its row for
+    # the whole window holds the same bits.
+    w = 9
+    pts = PointSet(tie_heavy_coords(rng, w, 2))
+    for root in range(w):
+        for max_visits in (None, 4):
+            table = ExactWindowSolver().rooted_table(pts, range(w), root, max_visits)
+            whole = table.run(w - 1)
+            assert "_prefixes" not in vars(table)
+            table.run(w - 2)
+            assert np.array_equal(whole, table._prefixes[w - 1]), (root, max_visits)
 
 
 def test_the_plans_of_every_size_up_to_the_cap_stay_cached():
@@ -568,3 +584,61 @@ def test_multi_slot_tie_order_picks_a_fixed_optimum(sources, sinks, lengths, vis
         sol = ExactWindowSolver().solve_window(pts, ids, ends, k)
         assert tuple(None if p is None else p.visits for p in sol.paths) == expected
         assert sol.total_length == dict(lengths)[k]
+
+
+def endpoint_draw(rng, n):
+    """One to three slots over a pool of three ids, so slots chain and share
+    junctions; each slot is idle, half null, one point or a pair."""
+    pool = [int(p) for p in rng.permutation(n)[:3]]
+    sources, sinks = [], []
+    for _ in range(int(rng.integers(1, 4))):
+        s, t = (int(p) for p in rng.choice(pool, 2))
+        shape = rng.random()
+        if shape < 0.1:
+            s = t = None
+        elif shape < 0.16:
+            s, t = (s, None) if rng.random() < 0.5 else (None, t)
+        elif shape < 0.3:
+            t = s
+        sources.append(s)
+        sinks.append(t)
+    return EndpointArrays(tuple(sources), tuple(sinks))
+
+
+def test_every_count_reads_back_a_system_of_its_length(rng):
+    # For every count solve_lengths gives, the read-back, which expands no
+    # state past k and keeps the only parent links, has that total and
+    # visits exactly k distinct points; when every slot is a pair, the
+    # lengths are brute force's.
+    seen = dict.fromkeys(["chained", "idle", "one point", "half null", "brute"], 0)
+    for draw in range(300):
+        n = int(rng.integers(3, 9))
+        coords = tie_heavy_coords(rng, n, 2) if draw % 2 else rng.random((n, 2))
+        pts, ends = PointSet(coords), endpoint_draw(rng, n)
+        pairs = list(zip(ends.sources, ends.sinks))
+        lengths = ExactWindowSolver().solve_lengths(pts, range(n), ends)
+        if ends.has_half_null_slot():
+            seen["half null"] += 1
+            assert lengths == {}
+            assert not ExactWindowSolver().solve_window(pts, range(n), ends, n).feasible
+            continue
+        seen["chained"] += any(t in ends.sources for s, t in pairs if s != t)
+        seen["idle"] += None in ends.sources
+        seen["one point"] += any(s == t is not None for s, t in pairs)
+        for k, total in lengths.items():
+            sol = ExactWindowSolver().solve_window(pts, range(n), ends, k)
+            assert (sol.total_length, sol.visited_count) == (total, k), (draw, k)
+            visited = set()
+            for (s, t), path in zip(pairs, sol.paths):
+                assert (path is None) == (s is None), (draw, k)
+                if path is not None:
+                    assert (path.source, path.sink) == (s, t), (draw, k)
+                    visited.update(path.visits)
+            assert len(visited) == k, (draw, k)
+        if all(s is not None and s != t for s, t in pairs):
+            seen["brute"] += 1
+            need = len(ends.endpoint_ids())
+            assert sorted(lengths) == list(range(need, n + 1)), draw
+            for k, total in lengths.items():
+                assert total == pytest.approx(brute_mktsp(pts, pairs, k)[1], rel=1e-12), (draw, k)
+    assert min(seen.values()) >= 5, seen

@@ -8,7 +8,6 @@ from orienteer import (
     directed_edge_partition,
     excess,
     window_excess,
-    window_points,
 )
 from orienteer.paths import edge_set_length, path_length
 from conftest import random_rotated_path
@@ -35,20 +34,20 @@ def test_zero_width_window_holds_one_point():
     zero = [w for w in enumerate_windows(pts) if w.left_id == w.right_id]
     assert len(zero) == 3
     for w in zero:
-        assert window_points(w, pts) == [w.left_id]
+        assert [p for p in range(3) if w.contains(p)] == [w.left_id]
         assert w.width == 0.0
 
 
-def test_window_points_full_span():
+def test_window_contains_full_span():
     pts = PointSet([[0.0, 0], [1.0, 0], [2.0, 0], [3.0, 0]])
     full = [w for w in enumerate_windows(pts) if w.left_id == 0 and w.right_id == 3]
-    assert window_points(full[0], pts) == [0, 1, 2, 3]
+    assert [p for p in range(4) if full[0].contains(p)] == [0, 1, 2, 3]
 
 
-def test_window_points_inclusive_boundaries():
+def test_window_contains_inclusive_boundaries():
     pts = PointSet([[0.0, 0], [1.0, 0], [2.0, 0], [3.0, 0]])
     w = [w for w in enumerate_windows(pts) if w.left_id == 1 and w.right_id == 2][0]
-    assert window_points(w, pts) == [1, 2]
+    assert [p for p in range(4) if w.contains(p)] == [1, 2]
 
 
 def fig_style_fixture():
